@@ -3,7 +3,8 @@
 G(zeta) = int (zeta - u)^(-1) dmu, F = 1/G, and the Voiculescu transform
 phi(z) = F^(-1)(z) - z which linearises free additive convolution.  The
 functional inversions are damped Newton iterations confined to C+, seeded at
-the asymptote F(w) ~ w and continued in t when a direct solve stalls.
+the asymptote F(w) ~ w; a stalled subordination solve is reseeded by
+fixed-point iteration.
 """
 from __future__ import annotations
 
@@ -199,30 +200,24 @@ def stieltjes_invert(g, x_grid, eps: float = 1e-3) -> DensityTable:
 # free convolution and semigroups
 # ---------------------------------------------------------------------------
 
+FIXED_POINT_STEPS = 20
+
+
 def free_convolve(phi1, phi2) -> AnalyticFn:
     """Pointwise sum of Voiculescu transforms (linearisation of boxplus)."""
     f1, f2 = to_analytic(phi1), to_analytic(phi2)
-    both_vec = (f1.vectorized or f1.batch_evaluator) and \
-               (f2.vectorized or f2.batch_evaluator)
-
-    def ev(z):
-        return f1.evaluator(z) + f2.evaluator(z)
-
-    if both_vec:
-        return AnalyticFn(lambda z: f1.eval_array(z) + f2.eval_array(z),
-                          derivative=lambda z: f1.diff(z) + f2.diff(z),
-                          vectorized=True, name="sum")
-    return AnalyticFn(lambda z: f1(z) + f2(z),
+    return AnalyticFn(lambda z: f1.eval_array(z) + f2.eval_array(z),
                       derivative=lambda z: f1.diff(z) + f2.diff(z),
-                      name="sum")
+                      vectorized=True, name="sum")
 
 
 def subordinate(phi, zeta: complex, t: float = 1.0, *,
                 seed: complex | None = None, rtol: float = 1e-12) -> complex:
     """Solve w + t phi(w) = zeta for w in C+.
 
-    Newton from w = zeta; if that stalls, continue in t from 0 in steps of
-    at most 0.1, reseeding at the previous root.
+    Newton from w = zeta; if that stalls, Newton from FIXED_POINT_STEPS
+    iterates of w -> zeta - t phi(w), a map of C+ into {Im w >= Im zeta}
+    that converges from any seed, slowly near R (Belinschi-Bercovici 2007).
     """
     zeta = complex(zeta)
     if zeta.imag <= 0:
@@ -233,21 +228,20 @@ def subordinate(phi, zeta: complex, t: float = 1.0, *,
     if t == 0:
         return zeta
 
-    def solve(tau, w0):
+    def solve(w0):
         return newton_halfplane(
-            lambda w: w + tau * fn(w) - zeta,
-            lambda w: 1.0 + tau * fn.diff(w),
+            lambda w: w + t * fn(w) - zeta,
+            lambda w: 1.0 + t * fn.diff(w),
             w0, rtol=rtol, scale=abs(zeta))
 
     try:
-        return solve(t, zeta if seed is None else seed)
+        return solve(zeta if seed is None else seed)
     except NewtonDivergence:
         pass
-    n_steps = max(2, int(math.ceil(t / 0.1)))
     w = zeta
-    for k in range(1, n_steps + 1):
-        w = solve(t * k / n_steps, w)
-    return w
+    for _ in range(FIXED_POINT_STEPS):
+        w = zeta - t * fn(w)
+    return solve(w)
 
 
 def semigroup_marginal(phi, t: float, zeta: complex, *,

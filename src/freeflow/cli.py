@@ -4,8 +4,7 @@ One job per invocation; results land in --out (CSV or JSON) and every run
 writes a manifest (<out>.manifest.json) recording resolved tolerances,
 domain estimates and the library version.  Exit codes: 0 success, 2 for a
 check command whose verdict is "fail", 1 for configuration or runtime
-errors.  FREEFLOW_THREADS caps internal grid parallelism; output ordering
-always follows grid order.
+errors.
 """
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,22 +34,6 @@ ERROR = 1
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("FREEFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    cap = _thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
-
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
@@ -96,13 +77,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _manifest(args, out_path: str, extra: dict) -> None:
+    tolerances = {"eps": args.eps}
+    if "tol_abs" in args:
+        tolerances["absTol"] = args.tol_abs
     payload = {
         "command": args.command,
         "version": __version__,
-        "seed": args.seed,
-        "tolerances": {"absTol": args.tol_abs, "relTol": args.tol_rel,
-                       "eps": args.eps},
-        "threads": _thread_cap(),
+        "tolerances": tolerances,
         "domainEstimates": extra.pop("domainEstimates", None),
     }
     payload.update(extra)
@@ -115,15 +96,11 @@ def _values_payload(grid, values) -> dict:
             "values": [[float(v.real), float(v.imag)] for v in vals]}
 
 
-def _load_form(text: str):
-    return parse_named_form(text)
-
-
 def _generator_field(args) -> FlowField:
     if getattr(args, "psi", None):
-        return build_fal2(_load_form(args.psi))
+        return build_fal2(parse_named_form(args.psi))
     if getattr(args, "phi", None):
-        return FlowField.from_generator(_load_form(args.phi))
+        return FlowField.from_generator(parse_named_form(args.phi))
     raise FreeflowError("one of --phi or --psi is required")
 
 
@@ -145,7 +122,9 @@ def _estimate_domain(phi_fn) -> dict | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_nev_eval(args) -> int:
-    form = _load_form(args.spec)
+    if args.tol_abs <= 0:
+        raise FreeflowError("tolerances must be positive")
+    form = parse_named_form(args.spec)
     if isinstance(form, RationalNevanlinna):
         fn = to_analytic(form)
     elif isinstance(form, NevanlinnaSpec):
@@ -169,7 +148,7 @@ def _cmd_nev_eval(args) -> int:
 
 
 def _cmd_nev_recover(args) -> int:
-    fn = to_analytic(_load_form(args.fn))
+    fn = to_analytic(parse_named_form(args.fn))
     u_grid = _parse_grid(args.grid) if args.grid else None
     rec = recover_parameters(fn, u_grid=u_grid, eps=args.eps)
     table_path = args.out + ".density.csv"
@@ -185,8 +164,8 @@ def _cmd_nev_recover(args) -> int:
 
 
 def _cmd_conv(args) -> int:
-    phi1 = to_analytic(_load_form(args.phi1))
-    phi2 = to_analytic(_load_form(args.phi2))
+    phi1 = to_analytic(parse_named_form(args.phi1))
+    phi2 = to_analytic(parse_named_form(args.phi2))
     phi = free_convolve(phi1, phi2)
     grid = _parse_grid(args.grid)
 
@@ -203,7 +182,7 @@ def _cmd_conv(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
-    phi = to_analytic(_load_form(args.phi))
+    phi = to_analytic(parse_named_form(args.phi))
     grid = _parse_grid(args.grid)
     t = args.t
 
@@ -228,11 +207,11 @@ def _density_from_subordination(g_at, grid, eps: float) -> np.ndarray:
             return math.nan
         return float((2.0 * half - full).imag / -math.pi)
 
-    return np.array(_pmap(one, [float(x) for x in grid]))
+    return np.array([one(float(x)) for x in grid])
 
 
 def _cmd_conformal_image(args) -> int:
-    form = _load_form(args.psi)
+    form = parse_named_form(args.psi)
     if not isinstance(form, RationalNevanlinna):
         raise FreeflowError("conformal-image wants a rational psi")
     if form.a < 0:
@@ -263,7 +242,7 @@ def _cmd_conformal_image(args) -> int:
 
 
 def _cmd_flowlines(args) -> int:
-    form = _load_form(args.psi)
+    form = parse_named_form(args.psi)
     pair = ConformalPair.from_psi(form)
     re_grid = _parse_grid(args.grid)
     rows = []
@@ -296,7 +275,7 @@ def _cmd_flowlines(args) -> int:
 
 def _cmd_fal2_build(args) -> int:
     try:
-        ff = build_fal2(_load_form(args.psi))
+        ff = build_fal2(parse_named_form(args.psi))
     except NotContaining as exc:
         cert = exc.certificate
         payload = {"verdict": "not-containing"}
@@ -361,7 +340,7 @@ def _cmd_flow(args) -> int:
     for t in ts:
         zs = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
         if args.route == "ode":
-            vals = np.array(_pmap(lambda z: flow_ode(ff, z, t), list(zs)))
+            vals = np.array([flow_ode(ff, z, t) for z in zs])
         else:
             vals = np.asarray(flow_conformal(ff, zs, t))
         rows += [(float(z.real), float(z.imag), float(w.real), float(w.imag),
@@ -419,11 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_out):
-        p.add_argument("--tol-abs", type=float, default=1e-10)
-        p.add_argument("--tol-rel", type=float, default=1e-9)
         p.add_argument("--eps", type=float, default=1e-3,
                        help="Stieltjes boundary offset")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=default_out)
 
     p = sub.add_parser("nev-eval", help="evaluate a Nevanlinna description")
@@ -431,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--grid", default="-5:5:41")
     p.add_argument("--height", type=float, default=1.0)
+    p.add_argument("--tol-abs", type=float, default=1e-10)
     common(p, "nev-eval.json")
     p.set_defaults(handler=_cmd_nev_eval)
 
@@ -534,7 +511,7 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; 2 is reserved for check failures
         return 0 if exc.code in (0, None) else ERROR
     try:
-        if args.tol_abs <= 0 or args.tol_rel <= 0 or args.eps <= 0:
+        if args.eps <= 0:
             raise FreeflowError("tolerances must be positive")
         return args.handler(args)
     except FreeflowError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .quadrature import DEFAULT_ABS_TOL, segment_quad
 # ---------------------------------------------------------------------------
 
 class ContinuationCache:
-    """Seed store for repeated inversions: concurrent reads, locked inserts.
+    """Seed store for repeated inversions.
 
     Only a seed accelerator; outcomes never depend on its contents because
     failures fall back to the full continuation path.
@@ -38,7 +37,6 @@ class ContinuationCache:
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._entries: list[tuple[complex, complex]] = []
 
     def nearest(self, w: complex):
@@ -48,10 +46,9 @@ class ContinuationCache:
         return min(entries, key=lambda e: abs(e[0] - w))
 
     def insert(self, w: complex, z: complex):
-        with self._lock:
-            self._entries.append((w, z))
-            if len(self._entries) > self.capacity:
-                del self._entries[: len(self._entries) - self.capacity]
+        self._entries.append((w, z))
+        if len(self._entries) > self.capacity:
+            del self._entries[: len(self._entries) - self.capacity]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from .conformal import (ConformalPair, ContainmentCertificate,
                         contains_halfplane_translate, normalize_for_halfplane)
 from .errors import (DomainError, NewtonDivergence, NotContaining,
                      NotNevanlinna, OutsideImage)
+from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, Verdict, halfplane_grid,
-                         is_nevanlinna_numeric, to_analytic)
+                         is_nevanlinna_numeric, to_analytic,
+                         vanishing_at_infinity)
 from .ode import OdeConfig, integrate_halfplane
 
 
@@ -30,8 +32,8 @@ from .ode import OdeConfig, integrate_halfplane
 # closed power-family flows
 # ---------------------------------------------------------------------------
 
-def _power_flow(coeff: float, exponent: float, z, t: float, direction: int):
-    """F_t (direction +1) or F_t^(-1) (direction -1) for phi = coeff z^exp.
+def _power_flow(coeff: float, exponent: float, z, t: float):
+    """F_t for phi = coeff z^exp (F_t^(-1) is the same map at -t).
 
     Solving F' = -coeff F^exp gives F^(1-exp) = z^(1-exp) - (1-exp) coeff t.
     The root is taken with the angle lifted to (0, 2 pi), which follows the
@@ -39,7 +41,7 @@ def _power_flow(coeff: float, exponent: float, z, t: float, direction: int):
     """
     z = np.asarray(z, dtype=complex)
     q = 1.0 - exponent
-    v = np.power(z, q) - direction * q * coeff * t
+    v = np.power(z, q) - q * coeff * t
     theta = np.angle(v)
     theta = np.where(theta <= 0, theta + 2.0 * math.pi, theta)
     out = np.abs(v) ** (1.0 / q) * np.exp(1j * theta / q)
@@ -83,49 +85,35 @@ class FlowField:
     def from_generator(cls, phi, *, validate: bool = True,
                        ode: OdeConfig | None = None) -> "FlowField":
         ode = ode or OdeConfig()
-        form = phi
-        if isinstance(form, AnalyticFn) and form.name:
-            try:
-                from .nevanlinna import parse_named_form
-                form = parse_named_form(form.name)
-            except (ValueError, TypeError):
-                form = phi
+        form = phi.form if isinstance(phi, AnalyticFn) else phi
         if isinstance(form, (int, float, complex)):
             c = complex(form)
             if c.imag > 0:
                 raise NotNevanlinna(f"constant generator {c} has Im > 0")
-            return cls(to_analytic(c), "constant", const=c, ode=ode)
-        if isinstance(form, PowerForm):
+            ff = cls(to_analytic(c), "constant", const=c, ode=ode)
+        elif isinstance(form, PowerForm):
             ff = cls(to_analytic(form), "power",
                      power=(form.coeff, form.exponent), ode=ode)
-            if validate:
-                ff.check_invariants()
-            return ff
-        if isinstance(form, RationalNevanlinna) and form.a == 0.0 \
+        elif isinstance(form, RationalNevanlinna) and form.a == 0.0 \
                 and form.b == 0.0 and form.poles == (0.0,):
             # phi = r/z: -1/phi = -z/r is an exact power form
             r = form.residues[0]
             gpair = ConformalPair.from_psi(PowerForm(-1.0 / r, 1.0))
-            return cls(to_analytic(form), "generator-pair", gen_pair=gpair,
-                       ode=ode)
-        fn = to_analytic(phi)
+            ff = cls(to_analytic(form), "generator-pair", gen_pair=gpair,
+                     ode=ode)
+        else:
+            fn = to_analytic(phi)
+            # converse factorization: a primitive of -1/phi plays Phi, and
+            # its numeric inverse plays Psi
+            eta = AnalyticFn(
+                lambda z: -1.0 / fn.eval_array(z) if np.asarray(z).shape
+                else -1.0 / fn(z),
+                vectorized=True, name="minus-reciprocal")
+            gpair = ConformalPair.from_psi_blackbox(eta)
+            ff = cls(fn, "generator-pair", gen_pair=gpair, ode=ode)
         if validate:
-            verdict = is_nevanlinna_numeric(fn)
-            if verdict.failed:
-                raise NotNevanlinna(
-                    f"generator is not Nevanlinna (witness {verdict.witness})",
-                    witness=verdict.witness)
-            if not vanishing_at_infinity(fn):
-                raise DomainError(
-                    "generator does not satisfy phi(iy)/(iy) -> 0")
-        # converse factorization: a primitive of -1/phi plays Phi, and its
-        # numeric inverse plays Psi
-        eta = AnalyticFn(
-            lambda z: -1.0 / fn.eval_array(z) if np.asarray(z).shape
-            else -1.0 / fn(z),
-            vectorized=True, name="minus-reciprocal")
-        gpair = ConformalPair.from_psi_blackbox(eta)
-        return cls(fn, "generator-pair", gen_pair=gpair, ode=ode)
+            ff.check_invariants()
+        return ff
 
     # -- invariants -----------------------------------------------------------
 
@@ -143,23 +131,6 @@ class FlowField:
 
     def phi_array(self, zs) -> np.ndarray:
         return self.phi.eval_array(zs)
-
-
-def vanishing_at_infinity(fn: AnalyticFn, *, tol: float = 1e-4) -> bool:
-    """Numeric test of phi(iy)/(iy) -> 0 along a dyadic ladder.
-
-    A fixed-height threshold alone misclassifies slowly decaying generators
-    (|phi(iy)/iy| ~ y^(rho-1) is still above 1e-4 at y = 1e6 for rho near 1),
-    so monotone decay to below half the initial magnitude also passes.
-    """
-    ys = 2.0 ** np.arange(6, 23)
-    vals = np.abs(fn.eval_array(1j * ys) / (1j * ys))
-    if not np.all(np.isfinite(vals)):
-        return False
-    if vals[-1] <= tol:
-        return True
-    decreasing = bool(np.all(np.diff(vals) < 0))
-    return decreasing and vals[-1] <= 0.5 * vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +153,7 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
             raise NotNevanlinna(f"constant psi {c} maps outside C- ")
         if c.imag == 0:
             # real constants pass through the main branch via drift
-            psi = NevanlinnaSpec(0.0, float(c.real), _empty_measure())
+            psi = NevanlinnaSpec(0.0, float(c.real), Measure())
         else:
             return FlowField(to_analytic(c), "constant", const=c, ode=ode)
     if isinstance(psi, PowerForm) and psi.coeff < 0:
@@ -232,11 +203,6 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
     return ff
 
 
-def _empty_measure():
-    from .measures import Measure
-    return Measure()
-
-
 # ---------------------------------------------------------------------------
 # flow evaluation
 # ---------------------------------------------------------------------------
@@ -250,7 +216,7 @@ def flow_conformal(ff: FlowField, z, t: float):
         return out if out.shape else complex(out)
     if ff.kind == "power":
         c, p = ff.power
-        return _power_flow(c, p, z, t, +1)
+        return _power_flow(c, p, z, t)
     if ff.kind == "psi-pair":
         return _map_points(
             z, lambda w, seed: complex(
@@ -266,27 +232,10 @@ def flow_conformal(ff: FlowField, z, t: float):
 
 
 def flow_inverse(ff: FlowField, z, t: float):
-    """F_t^(-1); OutsideImage where z is not in F_t(C+)."""
+    """F_t^(-1) = F_(-t); OutsideImage where z is not in F_t(C+)."""
     if t < 0:
         raise DomainError("flow_inverse needs t >= 0")
-    if ff.kind == "constant":
-        z = np.asarray(z, dtype=complex)
-        out = z + ff.const * t
-        return out if out.shape else complex(out)
-    if ff.kind == "power":
-        c, p = ff.power
-        return _power_flow(c, p, z, t, -1)
-    if ff.kind == "psi-pair":
-        return _map_points(
-            z, lambda w, seed: complex(
-                ff.pair.Psi(ff.pair.Phi(w, seed=seed) - t)),
-            ff.pair)
-    if ff.kind == "generator-pair":
-        return _map_points(
-            z, lambda w, seed: ff.gen_pair.Phi(
-                complex(ff.gen_pair.Psi(w)) + t, seed=seed),
-            ff.gen_pair)
-    raise ValueError(f"unknown flow kind {ff.kind}")
+    return flow_conformal(ff, z, -t)
 
 
 def _map_points(z, op, pair):
@@ -313,10 +262,7 @@ def flow_ode(ff: FlowField, z: complex, t: float) -> complex:
 def flow(ff: FlowField, z, t: float, *, route: str = "auto"):
     if route == "ode":
         return flow_ode(ff, z, t)
-    if route == "conformal" or ff.kind in ("constant", "power", "psi-pair",
-                                           "generator-pair"):
-        return flow_conformal(ff, z, t)
-    return flow_ode(ff, z, t)
+    return flow_conformal(ff, z, t)
 
 
 # ---------------------------------------------------------------------------

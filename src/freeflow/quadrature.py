@@ -12,7 +12,7 @@ import heapq
 import itertools
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -23,7 +23,7 @@ DEFAULT_ABS_TOL = 1e-10
 
 def _nodes(n: int):
     if n not in _NODE_CACHE:
-        x, w = roots_legendre(n)
+        x, w = leggauss(n)
         _NODE_CACHE[n] = (x, w)
     return _NODE_CACHE[n]
 

@@ -211,6 +211,26 @@ def test_flow_consistency_splits():
         assert staged == pytest.approx(direct, abs=1e-6)
 
 
+def test_subordination_semicircle_plus_cauchy_near_origin():
+    # 1/z + (-i): direct Newton from zeta stalls at |x| <= 0.3; the law is
+    # the semicircle smoothed by the Poisson kernel at height 1
+    phi = free_convolve(
+        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True),
+        const_fn(-1j))
+    xs = np.linspace(-0.3, 0.3, 13)
+    eps = 1e-3
+    dens = np.array([
+        (2.0 * semigroup_marginal(phi, 1.0, x + 0.5j * eps)
+         - semigroup_marginal(phi, 1.0, x + 1j * eps)).imag / -math.pi
+        for x in xs])
+    z = xs + 1j
+    g_sc = (z - np.sqrt(z - 2.0) * np.sqrt(z + 2.0)) / 2.0
+    assert np.all(np.isfinite(dens))
+    assert np.max(np.abs(dens + g_sc.imag / math.pi)) <= 1e-6
+    w = subordinate(phi, 0.1 + 1j * eps, 1.0)
+    assert abs(w + 1.0 / w - 1j - (0.1 + 1j * eps)) <= 1e-10
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_semicircle_semigroup_density(t):
     phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True)

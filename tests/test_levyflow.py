@@ -8,8 +8,8 @@ from freeflow.levyflow import (FlowField, KernelSlice, build_fal2, fal2_check,
                                flow, flow_conformal, flow_inverse, flow_ode,
                                increment_transform, marginal_law,
                                transition_kernel, vanishing_at_infinity)
-from freeflow.nevanlinna import (PowerForm, RationalNevanlinna, const_fn,
-                                 neg_pow, pow_fn, to_analytic)
+from freeflow.nevanlinna import (AnalyticFn, PowerForm, RationalNevanlinna,
+                                 const_fn, neg_pow, pow_fn, to_analytic)
 
 RNG = np.random.default_rng(7221)
 
@@ -82,6 +82,19 @@ def test_vanishing_check_rejects_linear():
     assert not vanishing_at_infinity(to_analytic(PowerForm(-1.0, 1.0)))
     assert vanishing_at_infinity(const_fn(-1j))
     assert vanishing_at_infinity(neg_pow(0.9))
+
+
+def test_from_generator_reads_structure_not_name():
+    ff = FlowField.from_generator(neg_pow(1.0 / 3.0))
+    assert ff.kind == "power"
+    assert ff.power == (-1.0, 1.0 / 3.0)
+    # a user function that happens to carry a constructor's name
+    two_sqrt = AnalyticFn(lambda z: -2.0 * np.sqrt(np.asarray(z, complex)),
+                          vectorized=True, name="negPow(0.5)")
+    ff = FlowField.from_generator(two_sqrt)
+    assert ff.kind != "power"
+    for z in (1j, 2.0 + 0.5j, -3.0 + 0.1j):
+        assert ff.phi(z) == pytest.approx(-2.0 * np.sqrt(z), abs=1e-14)
 
 
 def test_from_generator_rejects_bad_phi():

@@ -176,6 +176,22 @@ def test_recover_rejects_non_nevanlinna():
                                       vectorized=True))
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.7, 0.9])
+def test_recover_slowly_vanishing_power(rho):
+    # f(iv)/(iv) ~ v^(rho - 1) decays too slowly for a first-order ladder
+    r = recover_parameters(neg_pow(rho))
+    assert r.alpha == 0.0
+    assert r.beta == pytest.approx(-math.cos(math.pi * rho / 2), abs=1e-4)
+
+
+def test_recover_small_linear_coefficient():
+    # f(iv)/(iv) decays monotonely to -0.01, which vanishing_at_infinity
+    # accepts; the settled ladder must still win
+    r = recover_parameters(AnalyticFn(
+        lambda z: -0.01 * np.asarray(z, complex) - 1j, vectorized=True))
+    assert r.alpha == pytest.approx(-0.01, abs=1e-9)
+
+
 def test_recover_unstable_ladder():
     # pointwise Nevanlinna but with a non-settling linear coefficient
     def wobble(z):
