@@ -77,7 +77,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _manifest(args, out_path: str, extra: dict) -> None:
-    tolerances = {"eps": args.eps}
+    tolerances = {}
+    if "eps" in args:
+        tolerances["eps"] = args.eps
     if "tol_abs" in args:
         tolerances["absTol"] = args.tol_abs
     payload = {
@@ -397,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="free additive convolution and free Levy flow engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
-        p.add_argument("--eps", type=float, default=1e-3,
-                       help="Stieltjes boundary offset")
+    def common(p, default_out, *, eps=False):
+        if eps:
+            p.add_argument("--eps", type=float, default=1e-3,
+                           help="Stieltjes boundary offset")
         p.add_argument("--out", default=default_out)
 
     p = sub.add_parser("nev-eval", help="evaluate a Nevanlinna description")
@@ -414,21 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nev-recover", help="recover (alpha, beta, nu)")
     p.add_argument("--fn", required=True)
     p.add_argument("--grid")
-    common(p, "nev-recover.json")
+    common(p, "nev-recover.json", eps=True)
     p.set_defaults(handler=_cmd_nev_recover)
 
     p = sub.add_parser("conv", help="free additive convolution density")
     p.add_argument("--phi1", required=True)
     p.add_argument("--phi2", required=True)
     p.add_argument("--grid", default="-5:5:201")
-    common(p, "conv.csv")
+    common(p, "conv.csv", eps=True)
     p.set_defaults(handler=_cmd_conv)
 
     p = sub.add_parser("semigroup", help="marginal density of t*phi")
     p.add_argument("--phi", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--grid", default="-5:5:201")
-    common(p, "semigroup.csv")
+    common(p, "semigroup.csv", eps=True)
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("conformal-image", help="slit image of a rational psi")
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--grid", default="-8:8:321")
-    common(p, "kernel.csv")
+    common(p, "kernel.csv", eps=True)
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("marginal", help="marginal law density")
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--grid", default="-8:8:321")
-    common(p, "marginal.csv")
+    common(p, "marginal.csv", eps=True)
     p.set_defaults(handler=_cmd_marginal)
 
     p = sub.add_parser("increment", help="Voiculescu transform of increments")
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; 2 is reserved for check failures
         return 0 if exc.code in (0, None) else ERROR
     try:
-        if args.eps <= 0:
+        if "eps" in args and args.eps <= 0:
             raise FreeflowError("tolerances must be positive")
         return args.handler(args)
     except FreeflowError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._newton import newton_halfplane
 from .errors import (DomainError, NewtonDivergence, NotContaining,
-                     OutsideImage, PoleOnPath)
+                     OutsideImage, PoleOnPath, QuadratureFailure)
 from .measures import Measure
 from .nevanlinna import (NevanlinnaSpec, PowerForm, RationalNevanlinna,
                          rational_to_canonical)
@@ -60,15 +60,16 @@ class ConformalPair:
     """A primitive Psi with derivative -psi, plus the numeric inverse Phi.
 
     Psi is the raw primitive (natural constant for closed forms, anchored
-    Psi(i) = 0 for the quadrature route) plus `normalization`, the constant
-    added so the image contains C+ once the containment test passes.
+    Psi(i) = 0 for the generic and black-box routes) plus `normalization`,
+    the constant added so the image contains C+ once the containment test
+    passes.
     """
     psi_form: object
     kind: str
     normalization: complex = 0.0
     abs_tol: float = DEFAULT_ABS_TOL
     cache: ContinuationCache = field(default_factory=ContinuationCache)
-    # anchors (z, Psi_raw(z)) for incremental path quadrature; seeded at
+    # anchors (z, Psi_raw(z)) for the black-box path quadrature; seeded at
     # the normalization point Psi_raw(i) = 0
     _anchors: ContinuationCache = field(default_factory=ContinuationCache)
 
@@ -128,10 +129,8 @@ class ConformalPair:
         return val if val.shape else complex(val)
 
     def _psi_nodes(self, s):
-        """-psi on quadrature nodes, for the generic/blackbox primitive."""
-        if self.kind == "blackbox":
-            return -self.psi_form.eval_array(s)
-        return -self.psi_form.eval_grid(s, abs_tol=self.abs_tol)
+        """-psi on quadrature nodes, for the black-box path primitive."""
+        return -self.psi_form.eval_array(s)
 
     def _psi_raw_vectorized(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
@@ -146,10 +145,29 @@ class ConformalPair:
             for xi, al in zip(r.poles, r.residues):
                 acc = acc - al * np.log(z - xi)
             return acc
-        raise AssertionError("no closed form for generic psi")
+        if self.kind == "generic":
+            return self._psi_raw_spec(z)
+        raise AssertionError("no closed form for black-box psi")
 
-    def _psi_raw_generic(self, z: complex) -> complex:
-        """Path quadrature from the nearest previously computed anchor.
+    def _psi_raw_spec(self, z: np.ndarray) -> np.ndarray:
+        """-[alpha (z^2 + 1)/2 + beta (z - i) + int K(z, u) nu(du)].
+
+        K(z, u) is the primitive of the canonical kernel (1 + u s)/(s - u)
+        from i to z, so the whole grid costs one quadrature over nu.
+        """
+        spec: NevanlinnaSpec = self.psi_form
+        if np.any(z.imag <= 0):
+            raise DomainError("the generic primitive needs Im z > 0")
+        flat = z.ravel()
+        acc = 0.5 * spec.alpha * (flat ** 2 + 1.0) + spec.beta * (flat - 1j)
+        if not spec.nu.is_empty:
+            acc = acc + spec.nu.integrate(
+                lambda u: _kernel_primitive(flat[:, None], u),
+                abs_tol=self.abs_tol)
+        return -acc.reshape(z.shape)
+
+    def _psi_raw_path(self, z: complex) -> complex:
+        """Black-box route: path quadrature from the nearest anchor.
 
         C+ is convex and psi is analytic there, so a straight segment from
         any cached anchor gives the same primitive value; anchoring at the
@@ -164,12 +182,6 @@ class ConformalPair:
             z0, w0 = hit
         if z == z0:
             return complex(w0)
-        if self.kind == "generic":
-            for atom in self.psi_form.nu.atoms:
-                if _segment_distance(z0, z, complex(atom.position)) < 1e-9:
-                    raise PoleOnPath(
-                        f"integration path passes within 1e-9 of pole "
-                        f"{atom.position}")
         val = w0 + segment_quad(self._psi_nodes, z0, z, abs_tol=self.abs_tol)
         self._anchors.insert(z, complex(val))
         return complex(val)
@@ -177,12 +189,11 @@ class ConformalPair:
     def Psi(self, z):
         """Primitive of -psi (plus the stored normalization constant)."""
         z = np.asarray(z, dtype=complex)
-        if self.kind in ("generic", "blackbox"):
+        if self.kind == "blackbox":
             if z.shape:
-                flat = np.array([self._psi_raw_generic(p) for p in z.ravel()])
-                out = flat.reshape(z.shape) + self.normalization
-                return out
-            return self._psi_raw_generic(complex(z)) + self.normalization
+                flat = np.array([self._psi_raw_path(p) for p in z.ravel()])
+                return flat.reshape(z.shape) + self.normalization
+            return self._psi_raw_path(complex(z)) + self.normalization
         out = self._psi_raw_vectorized(z) + self.normalization
         return out if out.shape else complex(out)
 
@@ -225,10 +236,11 @@ class ConformalPair:
             return -complex(self.psi(z))
 
         scale = max(1.0, abs(w))
-        if self.kind not in ("generic", "blackbox"):
-            z = newton_halfplane(lambda z: complex(self.Psi(z)) - w,
-                                 derivative, seed, scale=scale)
-            return z
+        if self.kind != "blackbox":
+            # the generic primitive carries quadrature error near abs_tol
+            rtol = 1e-9 if self.kind == "generic" else 1e-12
+            return newton_halfplane(lambda z: complex(self.Psi(z)) - w,
+                                    derivative, seed, rtol=rtol, scale=scale)
         # pin the quadrature anchor for the whole solve so the residual is
         # self-consistent at the Newton tolerance
         z0 = complex(seed)
@@ -292,9 +304,6 @@ def primitive_eval(pair: ConformalPair, z: complex):
             dmin = np.min(np.abs(flat[on_axis, None] - poles[None, :]))
             if dmin < 1e-9:
                 raise PoleOnPath("boundary evaluation within 1e-9 of a pole")
-    elif pair.kind in ("generic", "blackbox"):
-        if np.any(np.atleast_1d(zs).imag <= 0):
-            raise DomainError("generic primitive needs Im z > 0")
     return pair.Psi(zs)
 
 
@@ -304,14 +313,28 @@ def invert_primitive(pair: ConformalPair, w: complex,
     return pair.Phi(w, seed=seed)
 
 
-def _segment_distance(a: complex, b: complex, p: complex) -> float:
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d - p)
+# |d| below which log1p(d)/d - 1 is summed as a series: numpy's complex
+# log1p is log(1 + d), which loses the digits of d that 1 + d rounds away
+_SERIES_D = 1e-3
+
+
+def _kernel_primitive(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K(z, u) = int_i^z (1 + u s)/(s - u) ds for z in C+ and real u.
+
+    In closed form K = u (z - i) + (1 + u^2) log1p(d) with
+    d = (z - i)/(i - u); written as (z - i)[(-i - u)(log1p(d)/d - 1) - i]
+    it has no cancellation between the two terms as |u| grows.
+    """
+    dz = z - 1j
+    d = dz / (1j - u)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = np.log1p(d) / d - 1.0
+    small = np.abs(d) < _SERIES_D
+    if small.any():
+        ds = d[small]
+        q[small] = ds * (-1.0 / 2 + ds * (1.0 / 3 + ds * (
+            -1.0 / 4 + ds * (1.0 / 5 - ds / 6))))
+    return dz * ((-1j - u) * q - 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +475,7 @@ def normalize_for_halfplane(pair: ConformalPair,
 
     Closed forms with containment already have the property (top slit at
     height 0; power sectors open past pi), so they keep normalization 0.
-    The quadrature route shifts by the height of the image's top boundary
+    The generic route shifts by the height of the image's top boundary
     ray: Im Psi is nondecreasing along horizontal boundary lines (psi is
     Nevanlinna), so the supremum sits just right of the support of nu, and
     one near-boundary evaluation estimates it.  A small probe grid then
@@ -467,9 +490,9 @@ def normalize_for_halfplane(pair: ConformalPair,
     q_top = None
     for d in (delta, 1e-2):
         try:
-            q_top = float(np.imag(pair._psi_raw_generic(complex(x_right, d))))
+            q_top = float(np.imag(pair.Psi(complex(x_right, d))))
             break
-        except Exception:
+        except QuadratureFailure:
             continue
     if q_top is None:
         raise NotContaining("cannot trace the top boundary ray")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MissingTailMetadata
-from .quadrature import DEFAULT_ABS_TOL, quad_interval
+from .quadrature import DEFAULT_ABS_TOL, adaptive_quad, quad_interval
 
 _TWO_PI = 2.0 * math.pi
 
@@ -85,12 +85,7 @@ class Measure:
             total = np.tensordot(vals, w, axes=([-1], [0]))
         n = max(1, len(self.pieces))
         for piece in self.pieces:
-            dens = piece.density
-
-            def g(u, _d=dens, _f=f):
-                return np.asarray(_f(u)) * np.asarray(_d(u))
-
-            part = quad_interval(g, piece.lo, piece.hi, abs_tol=abs_tol / n)
+            part = _integrate_piece(f, piece, abs_tol / n)
             total = part if total is None else total + part
         if total is None:
             return 0.0
@@ -200,6 +195,31 @@ class Measure:
     @classmethod
     def from_json(cls, text: str) -> "Measure":
         return cls.from_json_dict(json.loads(text))
+
+
+def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
+    """int f(u) density(u) du over one piece.
+
+    Finite pieces are integrated in theta with u = mid + half cos(theta):
+    square-root edges (and inverse square-root ones) become smooth
+    endpoints.  The Jacobian half sin(theta) multiplies the 1-d density
+    weights, never the (points x nodes) values of f.
+    """
+    dens = piece.density
+    if piece.unbounded:
+        def g(u):
+            return np.asarray(f(u)) * np.asarray(dens(u))
+
+        return quad_interval(g, piece.lo, piece.hi, abs_tol=abs_tol)
+    mid = 0.5 * (piece.lo + piece.hi)
+    half = 0.5 * (piece.hi - piece.lo)
+
+    def g_theta(theta):
+        u = mid + half * np.cos(theta)
+        weight = np.asarray(dens(u)) * (half * np.sin(theta))
+        return np.asarray(f(u)) * weight
+
+    return adaptive_quad(g_theta, 0.0, math.pi, abs_tol=abs_tol)
 
 
 def _num_out(x: float):

@@ -333,12 +333,19 @@ def is_nevanlinna_numeric(f, grid=None, *, im_tol: float = 1e-9) -> Verdict:
                                    "nanFraction": nan_frac})
 
 
+# largest octave ratio |phi(2iy)/(2iy)| / |phi(iy)/(iy)| that still counts
+# as decay over the last octaves: y^(rho-1) gives 2^(rho-1), 0.933 at
+# rho = 0.9, while a ratio levelling off at a nonzero value tends to 1
+_OCTAVE_DECAY = 0.98
+
+
 def vanishing_at_infinity(fn: AnalyticFn, *, tol: float = 1e-4) -> bool:
     """Numeric test of phi(iy)/(iy) -> 0 along a dyadic ladder.
 
     A fixed-height threshold alone misclassifies slowly decaying generators
     (|phi(iy)/iy| ~ y^(rho-1) is still above 1e-4 at y = 1e6 for rho near 1),
-    so monotone decay to below half the initial magnitude also passes.
+    so monotone decay to below half the initial magnitude also passes,
+    provided the decay continues over the last three octaves.
     """
     ys = 2.0 ** np.arange(6, 23)
     vals = np.abs(fn.eval_array(1j * ys) / (1j * ys))
@@ -346,8 +353,9 @@ def vanishing_at_infinity(fn: AnalyticFn, *, tol: float = 1e-4) -> bool:
         return False
     if vals[-1] <= tol:
         return True
-    decreasing = bool(np.all(np.diff(vals) < 0))
-    return decreasing and vals[-1] <= 0.5 * vals[0]
+    ratios = vals[1:] / vals[:-1]
+    return bool(np.all(ratios < 1.0)) and vals[-1] <= 0.5 * vals[0] \
+        and bool(np.all(ratios[-3:] <= _OCTAVE_DECAY))
 
 
 def default_recovery_grid() -> np.ndarray:

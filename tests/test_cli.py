@@ -44,7 +44,7 @@ def test_fal2_check_writes_manifest(tmp_path):
     manifest = read_json(tmp_path / "check.json.manifest.json")
     assert manifest["command"] == "fal2-check"
     assert manifest["verdicts"]["verdict"] in ("pass", "fail", "inconclusive")
-    assert manifest["tolerances"]["eps"] == 1e-3
+    assert "eps" not in manifest["tolerances"]
 
 
 def test_flowlines_slit_geometry(tmp_path):
@@ -112,6 +112,8 @@ def test_marginal_and_kernel_const(tmp_path):
     rows = read_csv(marg)
     centre = rows[40]
     assert float(centre["density"]) == pytest.approx(1 / math.pi, abs=1e-4)
+    manifest = read_json(tmp_path / "mg.csv.manifest.json")
+    assert manifest["tolerances"]["eps"] == 1e-3
     kern = tmp_path / "kr.csv"
     assert main(["kernel", "--phi", "const(0,-1)", "--t", "0.5", "--x", "1.0",
                  "--grid=-3:5:81", "--out", str(kern)]) == 0

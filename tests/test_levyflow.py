@@ -102,6 +102,14 @@ def test_from_generator_rejects_bad_phi():
         FlowField.from_generator(lambda z: np.asarray(z, complex))
 
 
+def test_from_generator_rejects_levelling_ratio():
+    # |phi(iy)/(iy)| falls monotonely below half its first value on the
+    # ladder but levels off at 0.01
+    with pytest.raises(DomainError):
+        FlowField.from_generator(
+            AnalyticFn(lambda z: -0.01 * z - 1j, vectorized=True))
+
+
 # -- conformal flow ----------------------------------------------------------------
 
 def test_flow_closed_form_at_i(ff_sqrt):
