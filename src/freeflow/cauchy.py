@@ -31,19 +31,16 @@ class CauchySampler:
     below the axis by the reflection G(conj zeta) = conj G(zeta).
     """
 
-    def __init__(self, source, *, abs_tol: float = DEFAULT_ABS_TOL,
-                 check_probability: bool = True, label: str | None = None):
+    def __init__(self, source, *, abs_tol: float = DEFAULT_ABS_TOL):
         self.abs_tol = abs_tol
-        self.label = label
         if isinstance(source, Measure):
             self.measure: Measure | None = source
             self.fn: AnalyticFn | None = None
-            if check_probability:
-                mass = source.total_mass(abs_tol=min(abs_tol, 1e-8))
-                if abs(mass - 1.0) > 1e-6:
-                    raise ValueError(
-                        f"Cauchy transform needs a probability measure "
-                        f"(mass = {mass:.6g})")
+            mass = source.total_mass(abs_tol=min(abs_tol, 1e-8))
+            if abs(mass - 1.0) > 1e-6:
+                raise ValueError(
+                    f"Cauchy transform needs a probability measure "
+                    f"(mass = {mass:.6g})")
         else:
             self.measure = None
             self.fn = to_analytic(source)
@@ -177,16 +174,14 @@ class DensityTable:
 def stieltjes_invert(g, x_grid, eps: float = 1e-3) -> DensityTable:
     """density(x) ~ -(1/pi) Im G(x + i eps), Richardson-extrapolated in eps.
 
-    Accepts a CauchySampler or any callable G.  NaN entries are flagged
-    per point rather than raised.
+    Accepts a CauchySampler or anything to_analytic takes.  NaN entries
+    are flagged per point rather than raised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     xs = np.asarray(x_grid, dtype=float)
-    caller = g.eval_array if isinstance(g, CauchySampler) else None
-    if caller is None:
-        fn = to_analytic(g)
-        caller = fn.eval_array
+    caller = g.eval_array if isinstance(g, CauchySampler) \
+        else to_analytic(g).eval_array
     d_full = -np.asarray(caller(xs + 1j * eps)).imag / math.pi
     d_half = -np.asarray(caller(xs + 1j * (eps / 2.0))).imag / math.pi
     density = 2.0 * d_half - d_full
@@ -208,7 +203,7 @@ def free_convolve(phi1, phi2) -> AnalyticFn:
     f1, f2 = to_analytic(phi1), to_analytic(phi2)
     return AnalyticFn(lambda z: f1.eval_array(z) + f2.eval_array(z),
                       derivative=lambda z: f1.diff(z) + f2.diff(z),
-                      vectorized=True, name="sum")
+                      name="sum")
 
 
 def subordinate(phi, zeta: complex, t: float = 1.0, *,
@@ -258,12 +253,6 @@ def semigroup_marginal(phi, t: float, zeta: complex, *,
 def reconstruct_cauchy(phi, *, t: float = 1.0) -> CauchySampler:
     """CauchySampler of the law whose Voiculescu transform is t*phi."""
     fn = to_analytic(phi)
-
-    def g(zeta):
-        zeta = complex(zeta)
-        if zeta.imag > 0:
-            return semigroup_marginal(fn, t, zeta)
-        return complex(np.conj(semigroup_marginal(fn, t, np.conj(zeta))))
-
-    name = f"reconstructed({fn.name or 'phi'}, t={t:g})"
-    return CauchySampler(AnalyticFn(g, name=name), label=name)
+    # the sampler reflects below the axis, so G is needed on C+ only
+    return CauchySampler(to_analytic(
+        lambda zeta: semigroup_marginal(fn, t, zeta)))

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cauchy import free_convolve, semigroup_marginal
+from .cauchy import free_convolve, semigroup_marginal, stieltjes_invert
 from .conformal import ConformalPair, slit_image
 from .errors import FreeflowError, NewtonDivergence, NotContaining
 from .levyflow import (DEFAULT_T_SAMPLES, FlowField, build_fal2, fal2_check,
@@ -127,12 +127,8 @@ def _cmd_nev_eval(args) -> int:
     if args.tol_abs <= 0:
         raise FreeflowError("tolerances must be positive")
     form = parse_named_form(args.spec)
-    if isinstance(form, RationalNevanlinna):
-        fn = to_analytic(form)
-    elif isinstance(form, NevanlinnaSpec):
-        fn = spec_fn(form, abs_tol=args.tol_abs)
-    else:
-        fn = to_analytic(form)
+    fn = spec_fn(form, abs_tol=args.tol_abs) \
+        if isinstance(form, NevanlinnaSpec) else to_analytic(form)
     if args.z is not None:
         zs = np.array([_parse_complex(args.z)])
         grid = [zs[0].real]
@@ -165,51 +161,28 @@ def _cmd_nev_recover(args) -> int:
     return 0
 
 
-def _cmd_conv(args) -> int:
-    phi1 = to_analytic(parse_named_form(args.phi1))
-    phi2 = to_analytic(parse_named_form(args.phi2))
-    phi = free_convolve(phi1, phi2)
-    grid = _parse_grid(args.grid)
+def _cmd_density(args) -> int:
+    """conv and semigroup: Stieltjes inversion of the subordination G."""
+    if args.command == "conv":
+        phi = free_convolve(to_analytic(parse_named_form(args.phi1)),
+                            to_analytic(parse_named_form(args.phi2)))
+        t, extra = 1.0, {}
+    else:
+        phi = to_analytic(parse_named_form(args.phi))
+        t, extra = args.t, {"t": args.t}
 
     def g_at(zeta: complex) -> complex:
-        return semigroup_marginal(phi, 1.0, zeta)
-
-    dens = _density_from_subordination(g_at, grid, args.eps)
-    _write_csv(args.out, ["x", "density"],
-               [(float(x), float(d)) for x, d in zip(grid, dens)])
-    deficit = 1.0 - float(np.trapezoid(np.nan_to_num(dens), grid))
-    _manifest(args, args.out, {"massDeficit": deficit,
-                               "domainEstimates": _estimate_domain(phi)})
-    return 0
-
-
-def _cmd_semigroup(args) -> int:
-    phi = to_analytic(parse_named_form(args.phi))
-    grid = _parse_grid(args.grid)
-    t = args.t
-
-    def g_at(zeta: complex) -> complex:
-        return semigroup_marginal(phi, t, zeta)
-
-    dens = _density_from_subordination(g_at, grid, args.eps)
-    _write_csv(args.out, ["x", "density"],
-               [(float(x), float(d)) for x, d in zip(grid, dens)])
-    deficit = 1.0 - float(np.trapezoid(np.nan_to_num(dens), grid))
-    _manifest(args, args.out, {"massDeficit": deficit, "t": t,
-                               "domainEstimates": _estimate_domain(phi)})
-    return 0
-
-
-def _density_from_subordination(g_at, grid, eps: float) -> np.ndarray:
-    def one(x: float) -> float:
         try:
-            full = g_at(complex(x, eps))
-            half = g_at(complex(x, eps / 2.0))
-        except (NewtonDivergence, FreeflowError):
-            return math.nan
-        return float((2.0 * half - full).imag / -math.pi)
+            return semigroup_marginal(phi, t, zeta)
+        except FreeflowError:
+            return complex("nan")
 
-    return np.array([one(float(x)) for x in grid])
+    table = stieltjes_invert(g_at, _parse_grid(args.grid), args.eps)
+    _write_csv(args.out, ["x", "density"], [
+        (float(x), float(d)) for x, d in zip(table.grid, table.density)])
+    _manifest(args, args.out, {"massDeficit": table.mass_deficit, **extra,
+                               "domainEstimates": _estimate_domain(phi)})
+    return 0
 
 
 def _cmd_conformal_image(args) -> int:
@@ -425,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2", required=True)
     p.add_argument("--grid", default="-5:5:201")
     common(p, "conv.csv", eps=True)
-    p.set_defaults(handler=_cmd_conv)
+    p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("semigroup", help="marginal density of t*phi")
     p.add_argument("--phi", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--grid", default="-5:5:201")
     common(p, "semigroup.csv", eps=True)
-    p.set_defaults(handler=_cmd_semigroup)
+    p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("conformal-image", help="slit image of a rational psi")
     p.add_argument("--psi", required=True)
@@ -470,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1.0", help="comma-separated times")
     p.add_argument("--grid", default="-3:3:20")
     p.add_argument("--im-grid", default="0.1:3:20")
-    p.add_argument("--route", choices=("auto", "conformal", "ode"),
-                   default="auto")
+    p.add_argument("--route", choices=("conformal", "ode"),
+                   default="conformal")
     common(p, "flow.csv")
     p.set_defaults(handler=_cmd_flow)
 

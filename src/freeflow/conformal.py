@@ -122,9 +122,7 @@ class ConformalPair:
         elif self.kind == "blackbox":
             val = self.psi_form.eval_array(z)
         else:
-            spec: NevanlinnaSpec = self.psi_form
-            val = spec.eval_grid(z, abs_tol=self.abs_tol) if z.shape \
-                else spec.evaluate(complex(z), abs_tol=self.abs_tol)
+            val = self.psi_form.eval_grid(z, abs_tol=self.abs_tol)
         val = np.asarray(val)
         return val if val.shape else complex(val)
 
@@ -204,8 +202,22 @@ class ConformalPair:
 
     # -- inversion -----------------------------------------------------------
 
-    def Phi(self, w: complex, *, seed: complex | None = None) -> complex:
-        """Numeric inverse: the z in C+ with Psi(z) = w."""
+    def Phi(self, w, *, seed: complex | None = None):
+        """Numeric inverse: the z in C+ with Psi(z) = w.
+
+        Over an array, each point is solved from the previous point's
+        preimage, and a point that cannot be inverted gives NaN; a scalar
+        w raises instead.
+        """
+        ws = np.asarray(w, dtype=complex)
+        if ws.shape:
+            out = np.full(ws.size, complex("nan"))
+            for k, wk in enumerate(ws.ravel()):
+                try:
+                    out[k] = seed = self.Phi(wk, seed=seed)
+                except (OutsideImage, NewtonDivergence, DomainError):
+                    pass
+            return out.reshape(ws.shape)
         w = complex(w)
         if self.kind == "constant":
             z = (self.normalization - w) / self.psi_form
@@ -497,16 +509,13 @@ def normalize_for_halfplane(pair: ConformalPair,
     if q_top is None:
         raise NotContaining("cannot trace the top boundary ray")
     shift = max(0.0, q_top + 1e-3 + 0.02 * abs(q_top))
-    probes = [complex(re, im) for re in (-3.0, 0.0, 3.0)
-              for im in (0.2, 5.0)]
+    probes = np.array([complex(re, im) for re in (-3.0, 0.0, 3.0)
+                       for im in (0.2, 5.0)])
     while shift <= max_shift:
         shifted = replace(pair, normalization=pair.normalization - 1j * shift,
                           cache=ContinuationCache())
-        try:
-            for w in probes:
-                shifted.Phi(w)
+        if not np.any(np.isnan(shifted.Phi(probes))):
             return shifted if shift > 0 else pair
-        except (OutsideImage, NewtonDivergence):
-            shift = max(1.0, 2.0 * shift)
+        shift = max(1.0, 2.0 * shift)
     raise NotContaining(
         f"no vertical translate up to {max_shift} makes the image contain C+")

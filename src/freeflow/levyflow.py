@@ -18,8 +18,7 @@ import numpy as np
 from .cauchy import stieltjes_invert
 from .conformal import (ConformalPair, ContainmentCertificate,
                         contains_halfplane_translate, normalize_for_halfplane)
-from .errors import (DomainError, NewtonDivergence, NotContaining,
-                     NotNevanlinna, OutsideImage)
+from .errors import DomainError, NotContaining, NotNevanlinna, OutsideImage
 from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, Verdict, halfplane_grid,
@@ -105,10 +104,8 @@ class FlowField:
             fn = to_analytic(phi)
             # converse factorization: a primitive of -1/phi plays Phi, and
             # its numeric inverse plays Psi
-            eta = AnalyticFn(
-                lambda z: -1.0 / fn.eval_array(z) if np.asarray(z).shape
-                else -1.0 / fn(z),
-                vectorized=True, name="minus-reciprocal")
+            eta = AnalyticFn(lambda z: -1.0 / fn.eval_array(z),
+                             name="minus-reciprocal")
             gpair = ConformalPair.from_psi_blackbox(eta)
             ff = cls(fn, "generator-pair", gen_pair=gpair, ode=ode)
         if validate:
@@ -126,11 +123,6 @@ class FlowField:
         if not vanishing_at_infinity(self.phi):
             raise DomainError("generator does not satisfy phi(iy)/(iy) -> 0")
         return verdict
-
-    # -- evaluation helpers -----------------------------------------------------
-
-    def phi_array(self, zs) -> np.ndarray:
-        return self.phi.eval_array(zs)
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +169,8 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
             f"the image of the primitive contains no half-plane translate "
             f"({cert.condition})", certificate=cert)
     pair = normalize_for_halfplane(ConformalPair.from_psi(psi))
-
-    def phi_scalar(w):
-        return complex(pair.psi(pair.Phi(complex(w))))
-
-    def phi_batch(ws):
-        ws = np.asarray(ws, dtype=complex)
-        flat = ws.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        seed = None
-        for k, w in enumerate(flat):
-            z = pair.Phi(complex(w), seed=seed)
-            seed = z
-            out[k] = complex(pair.psi(z))
-        return out.reshape(ws.shape)
-
-    phi = AnalyticFn(phi_scalar, batch_evaluator=phi_batch, name="psi-o-Phi")
+    phi = AnalyticFn(lambda ws: pair.psi(_invert(pair, ws)),
+                     name="psi-o-Phi")
     ff = FlowField(phi, "psi-pair", pair=pair, ode=ode, certificate=cert)
     if validate:
         # every phi evaluation is a Newton inversion here, so the invariant
@@ -218,17 +196,22 @@ def flow_conformal(ff: FlowField, z, t: float):
         c, p = ff.power
         return _power_flow(c, p, z, t)
     if ff.kind == "psi-pair":
-        return _map_points(
-            z, lambda w, seed: complex(
-                ff.pair.Psi(ff.pair.Phi(w, seed=seed) + t)),
-            ff.pair)
+        return ff.pair.Psi(_invert(ff.pair, z) + t)
     if ff.kind == "generator-pair":
         # Phi is the primitive (gen_pair.Psi up to sign) and Psi its inverse
-        return _map_points(
-            z, lambda w, seed: ff.gen_pair.Phi(
-                complex(ff.gen_pair.Psi(w)) - t, seed=seed),
-            ff.gen_pair)
+        return _invert(ff.gen_pair, ff.gen_pair.Psi(z) - t)
     raise ValueError(f"unknown flow kind {ff.kind}")
+
+
+def _invert(pair: ConformalPair, w):
+    """pair.Phi(w), raising OutsideImage if any point cannot be inverted."""
+    z = pair.Phi(w)
+    bad = np.isnan(z)
+    if np.any(bad):
+        raise OutsideImage(f"inversion at {np.asarray(w)[bad].flat[0]} "
+                           f"failed; the point is outside the image or "
+                           f"numerically unreachable")
+    return z
 
 
 def flow_inverse(ff: FlowField, z, t: float):
@@ -236,19 +219,6 @@ def flow_inverse(ff: FlowField, z, t: float):
     if t < 0:
         raise DomainError("flow_inverse needs t >= 0")
     return flow_conformal(ff, z, -t)
-
-
-def _map_points(z, op, pair):
-    zs = np.asarray(z, dtype=complex)
-    if not zs.shape:
-        return op(complex(zs), None)
-    flat = zs.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    seed = None
-    for k, w in enumerate(flat):
-        out[k] = op(complex(w), seed)
-        seed = out[k] if out[k].imag > 0 else None
-    return out.reshape(zs.shape)
 
 
 def flow_ode(ff: FlowField, z: complex, t: float) -> complex:
@@ -259,10 +229,12 @@ def flow_ode(ff: FlowField, z: complex, t: float) -> complex:
     return integrate_halfplane(lambda y: -phi(y), complex(z), t, ff.ode)
 
 
-def flow(ff: FlowField, z, t: float, *, route: str = "auto"):
+def flow(ff: FlowField, z, t: float, *, route: str = "conformal"):
+    if route == "conformal":
+        return flow_conformal(ff, z, t)
     if route == "ode":
         return flow_ode(ff, z, t)
-    return flow_conformal(ff, z, t)
+    raise ValueError(f"unknown route {route!r}; use 'conformal' or 'ode'")
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +288,10 @@ def _proxy_values(ff: FlowField, pts: np.ndarray, t: float):
         c, p = ff.power
         with np.errstate(all="ignore"):
             return np.asarray(_power_proxy(c, p, pts, t)), 0
-    failures = 0
-    out = np.full(pts.shape, np.nan + 0j, dtype=complex)
-    if ff.kind == "psi-pair":
-        pair = ff.pair
-        seed = None
-        for k, w in enumerate(pts):
-            try:
-                zz = pair.Phi(complex(w), seed=seed)
-                seed = zz
-                out[k] = complex(pair.psi(zz - t))
-            except (OutsideImage, NewtonDivergence, DomainError):
-                failures += 1
-        return out, failures
     gpair = ff.gen_pair
-    if gpair.kind == "power":
+    if ff.kind == "psi-pair":
+        zz, f = ff.pair.Phi(pts) - t, ff.pair.psi
+    elif gpair.kind == "power":
         # principal-branch composition: the analytic continuation from the
         # initial domain, which exposes violations that the half-plane
         # confined inverse branch would hide (e.g. next to a flow slit)
@@ -340,16 +301,12 @@ def _proxy_values(ff: FlowField, pts: np.ndarray, t: float):
             u = -(c / q) * np.power(pts, q) + t
             zz = np.power(-q * u / c, 1.0 / q)
             return ff.phi.eval_array(zz), 0
-    seed = None
-    for k, w in enumerate(pts):
-        try:
-            u = complex(gpair.Psi(complex(w))) + t
-            zz = gpair.Phi(u, seed=seed)
-            seed = zz
-            out[k] = ff.phi(zz)
-        except (OutsideImage, NewtonDivergence, DomainError):
-            failures += 1
-    return out, failures
+    else:
+        zz, f = gpair.Phi(gpair.Psi(pts) + t), ff.phi.eval_array
+    ok = ~np.isnan(zz)
+    out = np.full(pts.shape, complex("nan"))
+    out[ok] = f(zz[ok])
+    return out, int(np.count_nonzero(~ok))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +337,7 @@ def marginal_law(ff: FlowField, t: float, x_grid,
     """Law of the flow at time t started from the point mass at 0."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t),
-                                        vectorized=True),
+    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t)),
                              np.asarray(x_grid, float), eps)
     return KernelSlice(t, 0.0, table.grid, table.density, table.mass_deficit,
                        table.bad)
@@ -392,8 +348,7 @@ def transition_kernel(ff: FlowField, t: float, x: float, u_grid,
     """Markov kernel from x: Stieltjes inversion of 1/(F_t - x)."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t, shift=float(x)),
-                                        vectorized=True),
+    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t, shift=float(x))),
                              np.asarray(u_grid, float), eps)
     return KernelSlice(t, float(x), table.grid, table.density,
                        table.mass_deficit, table.bad)

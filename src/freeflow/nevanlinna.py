@@ -46,14 +46,7 @@ class NevanlinnaSpec:
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
 
     def evaluate(self, z: complex, *, abs_tol: float = DEFAULT_ABS_TOL) -> complex:
-        z = complex(z)
-        if z.imag <= 0:
-            raise DomainError(f"evaluation requires Im z > 0, got {z}")
-        acc = self.alpha * z + self.beta
-        if not self.nu.is_empty:
-            acc += self.nu.integrate(lambda u: (1.0 + u * z) / (z - u),
-                                     abs_tol=abs_tol)
-        return complex(acc)
+        return complex(self.eval_grid(z, abs_tol=abs_tol))
 
     def eval_grid(self, zs, *, abs_tol: float = DEFAULT_ABS_TOL) -> np.ndarray:
         """Evaluate on an array of points in one adaptive quadrature pass."""
@@ -62,7 +55,7 @@ class NevanlinnaSpec:
         if np.any(flat.imag <= 0):
             raise DomainError("evaluation requires Im z > 0 for every point")
         acc = self.alpha * flat + self.beta
-        if not self.nu.is_empty:
+        if flat.size and not self.nu.is_empty:
             def kernel(u):
                 u = np.asarray(u)
                 return (1.0 + flat[:, None] * u[None, :]) / (flat[:, None] - u[None, :])
@@ -171,31 +164,24 @@ def constant_spec(c: complex) -> NevanlinnaSpec:
 
 @dataclass
 class AnalyticFn:
-    """Carrier for a black-box analytic function on a declared domain.
+    """Carrier for a black-box analytic function.
 
-    `form` is the PowerForm, RationalNevanlinna or complex constant the
-    evaluator computes, if any; FlowField.from_generator dispatches on it.
+    `evaluator` maps an array of any shape, 0-d included, to an array of
+    the same shape; scalar calls go through it too.  `form` is the
+    PowerForm, RationalNevanlinna or complex constant the evaluator
+    computes, if any; FlowField.from_generator dispatches on it.
     """
     evaluator: Callable
-    domain: str = "upper-half-plane"
     derivative: Callable | None = None
-    vectorized: bool = False
-    batch_evaluator: Callable | None = None
     name: str | None = None
     form: PowerForm | RationalNevanlinna | complex | None = None
 
     def __call__(self, z: complex) -> complex:
-        return complex(self.evaluator(z))
+        return complex(self.evaluator(np.asarray(z, dtype=complex)))
 
     def eval_array(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(zs), dtype=complex)
-        if self.vectorized:
-            return np.asarray(self.evaluator(zs), dtype=complex)
-        flat = zs.ravel()
-        out = np.array([complex(self.evaluator(z)) for z in flat])
-        return out.reshape(zs.shape)
+        return np.asarray(self.evaluator(np.asarray(zs, dtype=complex)),
+                          dtype=complex)
 
     def diff(self, z: complex, h: float = 1e-6) -> complex:
         if self.derivative is not None:
@@ -206,42 +192,42 @@ class AnalyticFn:
 
 def const_fn(c: complex) -> AnalyticFn:
     c = complex(c)
-    return AnalyticFn(lambda z: c * np.ones_like(np.asarray(z, dtype=complex)),
+    return AnalyticFn(lambda z: c * np.ones_like(z),
                       derivative=lambda z: 0.0 * np.asarray(z, dtype=complex),
-                      vectorized=True, name=f"const({c.real:g},{c.imag:g})",
-                      form=c)
+                      name=f"const({c.real:g},{c.imag:g})", form=c)
 
 
 def neg_pow(rho: float) -> AnalyticFn:
     form = PowerForm(-1.0, float(rho))
     return AnalyticFn(form.evaluate, derivative=form.derivative,
-                      vectorized=True, name=f"negPow({rho:g})", form=form)
+                      name=f"negPow({rho:g})", form=form)
 
 
 def pow_fn(theta: float) -> AnalyticFn:
     form = PowerForm(1.0, float(theta))
     return AnalyticFn(form.evaluate, derivative=form.derivative,
-                      vectorized=True, name=f"pow({theta:g})", form=form)
+                      name=f"pow({theta:g})", form=form)
 
 
 def rational_fn(r: RationalNevanlinna) -> AnalyticFn:
-    return AnalyticFn(r.evaluate, derivative=r.derivative, vectorized=True,
-                      name="rational")
+    return AnalyticFn(r.evaluate, derivative=r.derivative, name="rational")
 
 
 def spec_fn(spec: NevanlinnaSpec, *, abs_tol: float = DEFAULT_ABS_TOL) -> AnalyticFn:
-    return AnalyticFn(lambda z: spec.evaluate(z, abs_tol=abs_tol),
-                      batch_evaluator=lambda zs: spec.eval_grid(zs, abs_tol=abs_tol),
+    return AnalyticFn(lambda zs: spec.eval_grid(zs, abs_tol=abs_tol),
                       name="nevanlinna-spec")
 
 
 def to_analytic(obj) -> AnalyticFn:
-    """Coerce any supported function description to an AnalyticFn."""
+    """Coerce any supported function description to an AnalyticFn.
+
+    A bare callable is taken to accept scalars only and is lifted to
+    arrays point by point.
+    """
     if isinstance(obj, AnalyticFn):
         return obj
     if isinstance(obj, PowerForm):
         return AnalyticFn(obj.evaluate, derivative=obj.derivative,
-                          vectorized=True,
                           name=f"power({obj.coeff:g},{obj.exponent:g})")
     if isinstance(obj, RationalNevanlinna):
         return rational_fn(obj)
@@ -250,7 +236,7 @@ def to_analytic(obj) -> AnalyticFn:
     if isinstance(obj, (int, float, complex)):
         return const_fn(complex(obj))
     if callable(obj):
-        return AnalyticFn(obj)
+        return AnalyticFn(np.vectorize(obj, otypes=[complex]))
     raise TypeError(f"cannot interpret {obj!r} as an analytic function")
 
 
@@ -528,13 +514,3 @@ def form_from_json(data: dict):
                                   tuple(data.get("residues", ())))
     raise ValueError("JSON object is neither a NevanlinnaSpec nor a "
                      "RationalNevanlinna")
-
-
-def spec_to_json_dict(obj) -> dict:
-    if isinstance(obj, NevanlinnaSpec):
-        return {"alpha": obj.alpha, "beta": obj.beta,
-                "nu": obj.nu.to_json_dict()}
-    if isinstance(obj, RationalNevanlinna):
-        return {"a": obj.a, "b": obj.b, "poles": list(obj.poles),
-                "residues": list(obj.residues)}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")

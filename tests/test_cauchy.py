@@ -114,7 +114,7 @@ def test_voiculescu_additivity_semicircle_plus_atom():
     m1 = semicircle_measure(1.0)
     m2 = dirac(1.0)
     phi_sum = free_convolve(
-        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True),
+        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
         const_fn(1.0))
     g_conv = reconstruct_cauchy(phi_sum)
     for z in gamma_points(1.0, 10.0, 20):
@@ -134,7 +134,7 @@ def test_stieltjes_semicircle_centre():
 def test_stieltjes_atom_gives_deficit():
     # grid straddles the atom at 0; exactly on it the spike is unbounded
     table = stieltjes_invert(AnalyticFn(
-        lambda z: 1.0 / np.asarray(z, complex), vectorized=True),
+        lambda z: 1.0 / np.asarray(z, complex)),
         np.linspace(-3, 3, 300), eps=1e-3)
     off_axis = np.abs(table.grid) > 0.5
     assert np.max(np.abs(table.density[off_axis])) < 1e-6
@@ -150,7 +150,7 @@ def test_stieltjes_cauchy_density():
 # -- free convolution -------------------------------------------------------------
 
 def test_convolve_semicircles_density():
-    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True)
+    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex))
     phi2 = free_convolve(phi, phi)
     assert phi2(2j) == pytest.approx(2.0 / 2j, abs=1e-12)
     g = reconstruct_cauchy(phi2)
@@ -175,7 +175,7 @@ def test_convolve_cauchy_laws():
 # -- semigroup marginals ------------------------------------------------------------
 
 def test_semigroup_semicircle():
-    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True)
+    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex))
     got = semigroup_marginal(phi, 1.0, 2j)
     assert got == pytest.approx(semicircle_g(2j), abs=1e-9)
 
@@ -196,7 +196,7 @@ def test_semigroup_negative_t_rejected():
 
 
 def test_flow_consistency_splits():
-    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True)
+    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex))
     s, t = 0.7, 0.6
     for zeta in gamma_points(1.0, 3.0, 6):
         direct = semigroup_marginal(phi, s + t, zeta)
@@ -204,10 +204,9 @@ def test_flow_consistency_splits():
         w = subordinate(phi, zeta, s + t)
         assert 1.0 / w == pytest.approx(direct, abs=1e-12)
         staged = semigroup_marginal(
-            free_convolve(AnalyticFn(lambda z: s * phi.eval_array(z),
-                                     vectorized=True),
-                          AnalyticFn(lambda z: t * phi.eval_array(z),
-                                     vectorized=True)), 1.0, zeta)
+            free_convolve(AnalyticFn(lambda z: s * phi.eval_array(z)),
+                          AnalyticFn(lambda z: t * phi.eval_array(z))),
+            1.0, zeta)
         assert staged == pytest.approx(direct, abs=1e-6)
 
 
@@ -215,7 +214,7 @@ def test_subordination_semicircle_plus_cauchy_near_origin():
     # 1/z + (-i): direct Newton from zeta stalls at |x| <= 0.3; the law is
     # the semicircle smoothed by the Poisson kernel at height 1
     phi = free_convolve(
-        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True),
+        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
         const_fn(-1j))
     xs = np.linspace(-0.3, 0.3, 13)
     eps = 1e-3
@@ -233,7 +232,7 @@ def test_subordination_semicircle_plus_cauchy_near_origin():
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_semicircle_semigroup_density(t):
-    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex), vectorized=True)
+    phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex))
     lim = 1.9 * math.sqrt(t)
     xs = np.linspace(-lim, lim, 200)
     dens = np.array([

@@ -124,7 +124,7 @@ def test_marginal_and_kernel_const(tmp_path):
                                                    abs=1e-4)
 
 
-@pytest.mark.parametrize("route", ["auto", "ode"])
+@pytest.mark.parametrize("route", ["conformal", "ode"])
 def test_flow_snapshots(tmp_path, route):
     out = tmp_path / "f.csv"
     assert main(["flow", "--psi", "negPow(1)", "--t", "0.25,1",

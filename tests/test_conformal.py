@@ -274,6 +274,18 @@ def test_invert_quarter_plane_far_target_fails():
         invert_primitive(pair, 1e6j)
 
 
+def test_phi_over_array_marks_failures_with_nan():
+    # the strip {-pi < Im w < 0} holds -i and 1 - i but not 1e6 i
+    strip = RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,))
+    ws = np.array([-1j, 1e6j, 1 - 1j])
+    got = ConformalPair.from_psi(strip).Phi(ws)
+    assert got.shape == ws.shape
+    assert np.isnan(got).tolist() == [False, True, False]
+    scalar = ConformalPair.from_psi(strip)
+    for k in (0, 2):
+        assert got[k] == pytest.approx(scalar.Phi(ws[k]), rel=1e-10)
+
+
 # -- pair invariants -----------------------------------------------------------------
 
 @pytest.mark.parametrize("idx", range(5))

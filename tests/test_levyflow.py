@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from freeflow.errors import DomainError, NotContaining, NotNevanlinna
+from freeflow import conformal
+from freeflow.conformal import ConformalPair
+from freeflow.errors import (DomainError, NotContaining, NotNevanlinna,
+                             OutsideImage)
 from freeflow.levyflow import (FlowField, KernelSlice, build_fal2, fal2_check,
                                flow, flow_conformal, flow_inverse, flow_ode,
                                increment_transform, marginal_law,
@@ -90,7 +93,7 @@ def test_from_generator_reads_structure_not_name():
     assert ff.power == (-1.0, 1.0 / 3.0)
     # a user function that happens to carry a constructor's name
     two_sqrt = AnalyticFn(lambda z: -2.0 * np.sqrt(np.asarray(z, complex)),
-                          vectorized=True, name="negPow(0.5)")
+                          name="negPow(0.5)")
     ff = FlowField.from_generator(two_sqrt)
     assert ff.kind != "power"
     for z in (1j, 2.0 + 0.5j, -3.0 + 0.1j):
@@ -107,7 +110,7 @@ def test_from_generator_rejects_levelling_ratio():
     # ladder but levels off at 0.01
     with pytest.raises(DomainError):
         FlowField.from_generator(
-            AnalyticFn(lambda z: -0.01 * z - 1j, vectorized=True))
+            AnalyticFn(lambda z: -0.01 * z - 1j))
 
 
 # -- conformal flow ----------------------------------------------------------------
@@ -185,6 +188,42 @@ def test_inverse_roundtrip(ff_cbrt):
 def test_inverse_rejects_negative_t(ff_sqrt):
     with pytest.raises(DomainError):
         flow_inverse(ff_sqrt, 1j, -0.5)
+
+
+def test_flow_conformal_raises_on_uninvertible_point():
+    # flow_conformal reads only the pair: Psi = -log z maps C+ onto the
+    # strip {-pi < Im w < 0}, which does not hold 1e6 i
+    strip = ConformalPair.from_psi(RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,)))
+    ff = FlowField(to_analytic(0j), "psi-pair", pair=strip)
+    inside = flow_conformal(ff, np.array([-1j, 1 - 1j]), 0.5)
+    assert np.all(np.isfinite(inside))
+    with pytest.raises(OutsideImage):
+        flow_conformal(ff, np.array([-1j, 1e6j, 1 - 1j]), 0.5)
+
+
+def test_flow_seeds_phi_from_preimages(monkeypatch):
+    ff = build_fal2(RationalNevanlinna(-1.0, 0.05, (0.0,), (1.0,)))
+    derivative_calls = [0]
+    solve = conformal.newton_halfplane
+
+    def counting(residual, derivative, seed, **kwargs):
+        def counted(z):
+            derivative_calls[0] += 1
+            return derivative(z)
+        return solve(residual, counted, seed, **kwargs)
+
+    monkeypatch.setattr(conformal, "newton_halfplane", counting)
+    marginal_law(ff, 1.0, np.linspace(-8, 8, 321))
+    # seeding each solve with the previous output F_t(w), an image point,
+    # took 3,674 Newton iterations; preimage seeds take about 1,970
+    assert derivative_calls[0] <= 2400
+
+
+def test_flow_route_must_be_known(ff_sqrt):
+    assert flow(ff_sqrt, 1j, 1.0, route="conformal") == \
+        pytest.approx(flow_conformal(ff_sqrt, 1j, 1.0), abs=1e-15)
+    with pytest.raises(ValueError):
+        flow(ff_sqrt, 1j, 1.0, route="auto")
 
 
 # -- FAL2 verdicts ------------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_eval_grid_matches_scalar():
         assert v == pytest.approx(spec.evaluate(z), abs=1e-8)
 
 
+def test_eval_grid_of_empty_array():
+    # fal2_check evaluates psi on the points that inverted, which may be none
+    spec = NevanlinnaSpec(-0.2, 0.1, semicircle_measure(1.0))
+    assert spec.eval_grid(np.zeros((0, 3), complex)).shape == (0, 3)
+
+
+def test_scalar_callable_is_lifted_to_arrays():
+    fn = to_analytic(lambda z: -1 / complex(z))
+    zs = 1j + np.arange(12.0).reshape(3, 4)
+    vals = fn.eval_array(zs)
+    assert vals.shape == (3, 4)
+    assert vals[2, 1] == pytest.approx(-1 / zs[2, 1], abs=1e-15)
+    assert fn.eval_array(2j).shape == ()
+    assert fn(2j) == pytest.approx(0.5j, abs=1e-15)
+
+
 # -- rational conversion -----------------------------------------------------
 
 def test_rational_to_canonical_simple_pole():
@@ -120,7 +136,7 @@ def test_verifier_passes_inverse_sqrt():
 
 
 def test_verifier_fails_identity_with_witness():
-    v = is_nevanlinna_numeric(AnalyticFn(lambda z: z, vectorized=True))
+    v = is_nevanlinna_numeric(AnalyticFn(lambda z: z))
     assert v.failed
     assert v.witness is not None
     assert complex(v.witness).imag > 0
@@ -156,8 +172,7 @@ def test_recover_roundtrip_compact_spec():
 
 
 def test_recover_pure_linear_has_no_measure():
-    r = recover_parameters(AnalyticFn(lambda z: -np.asarray(z, complex),
-                                      vectorized=True))
+    r = recover_parameters(AnalyticFn(lambda z: -np.asarray(z, complex)))
     assert r.alpha == pytest.approx(-1.0, abs=1e-6)
     assert r.beta == pytest.approx(0.0, abs=1e-6)
     assert r.density.size == 0 or np.max(np.abs(r.density)) <= 1e-6
@@ -172,8 +187,7 @@ def test_recover_real_constant_short_circuit():
 
 def test_recover_rejects_non_nevanlinna():
     with pytest.raises(NotNevanlinna):
-        recover_parameters(AnalyticFn(lambda z: np.asarray(z, complex),
-                                      vectorized=True))
+        recover_parameters(AnalyticFn(lambda z: np.asarray(z, complex)))
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.7, 0.9])
@@ -188,7 +202,7 @@ def test_recover_small_linear_coefficient():
     # f(iv)/(iv) decays monotonely to -0.01, which vanishing_at_infinity
     # accepts; the settled ladder must still win
     r = recover_parameters(AnalyticFn(
-        lambda z: -0.01 * np.asarray(z, complex) - 1j, vectorized=True))
+        lambda z: -0.01 * np.asarray(z, complex) - 1j))
     assert r.alpha == pytest.approx(-0.01, abs=1e-9)
 
 
@@ -199,7 +213,7 @@ def test_recover_unstable_ladder():
         return -z * (1.0 + 0.3 * np.cos(np.log(np.abs(z))))
 
     with pytest.raises(ExtrapolationUnstable):
-        recover_parameters(AnalyticFn(wobble, vectorized=True))
+        recover_parameters(AnalyticFn(wobble))
 
 
 def test_verifier_propagates_evaluator_failure():
