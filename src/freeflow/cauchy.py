@@ -49,12 +49,7 @@ class CauchySampler:
         zeta = complex(zeta)
         if zeta.imag == 0:
             raise DomainError("Cauchy transform is undefined on the real line")
-        if self.measure is not None:
-            return complex(self.measure.integrate(
-                lambda u: 1.0 / (zeta - u), abs_tol=self.abs_tol))
-        if zeta.imag > 0:
-            return self.fn(zeta)
-        return complex(np.conj(self.fn(np.conj(zeta))))
+        return complex(self.eval_array(zeta))
 
     def eval_array(self, zetas) -> np.ndarray:
         zetas = np.asarray(zetas, dtype=complex)

@@ -19,8 +19,9 @@ from ._newton import newton_halfplane
 from .errors import (DomainError, NewtonDivergence, NotContaining,
                      OutsideImage, PoleOnPath, QuadratureFailure)
 from .measures import Measure
-from .nevanlinna import (NevanlinnaSpec, PowerForm, RationalNevanlinna,
-                         rational_to_canonical)
+from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
+                         RationalNevanlinna, rational_to_canonical, spec_fn,
+                         to_analytic)
 from .quadrature import DEFAULT_ABS_TOL, segment_quad
 
 
@@ -69,9 +70,11 @@ class ConformalPair:
     normalization: complex = 0.0
     abs_tol: float = DEFAULT_ABS_TOL
     cache: ContinuationCache = field(default_factory=ContinuationCache)
-    # anchors (z, Psi_raw(z)) for the black-box path quadrature; seeded at
-    # the normalization point Psi_raw(i) = 0
-    _anchors: ContinuationCache = field(default_factory=ContinuationCache)
+    _psi_fn: AnalyticFn = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._psi_fn = (spec_fn(self.psi_form, abs_tol=self.abs_tol)
+                        if self.kind == "generic" else to_analytic(self.psi_form))
 
     # -- construction -----------------------------------------------------
 
@@ -114,23 +117,10 @@ class ConformalPair:
     # -- psi and Psi --------------------------------------------------------
 
     def psi(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "constant":
-            val = self.psi_form * np.ones_like(z)
-        elif self.kind in ("power", "rational"):
-            val = self.psi_form.evaluate(z)
-        elif self.kind == "blackbox":
-            val = self.psi_form.eval_array(z)
-        else:
-            val = self.psi_form.eval_grid(z, abs_tol=self.abs_tol)
-        val = np.asarray(val)
+        val = self._psi_fn.eval_array(z)
         return val if val.shape else complex(val)
 
-    def _psi_nodes(self, s):
-        """-psi on quadrature nodes, for the black-box path primitive."""
-        return -self.psi_form.eval_array(s)
-
-    def _psi_raw_vectorized(self, z: np.ndarray) -> np.ndarray:
+    def _psi_raw(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
             return -self.psi_form * z
         if self.kind == "power":
@@ -145,7 +135,7 @@ class ConformalPair:
             return acc
         if self.kind == "generic":
             return self._psi_raw_spec(z)
-        raise AssertionError("no closed form for black-box psi")
+        return self._psi_raw_path(z)
 
     def _psi_raw_spec(self, z: np.ndarray) -> np.ndarray:
         """-[alpha (z^2 + 1)/2 + beta (z - i) + int K(z, u) nu(du)].
@@ -164,41 +154,28 @@ class ConformalPair:
                 abs_tol=self.abs_tol)
         return -acc.reshape(z.shape)
 
-    def _psi_raw_path(self, z: complex) -> complex:
-        """Black-box route: path quadrature from the nearest anchor.
+    def _psi_raw_path(self, z: np.ndarray) -> np.ndarray:
+        """Black-box route: one segment quadrature from i to every z.
 
-        C+ is convex and psi is analytic there, so a straight segment from
-        any cached anchor gives the same primitive value; anchoring at the
-        nearest one keeps segments short when flows evaluate nearby points.
+        C+ is convex and psi is analytic there, so the straight segment
+        from the anchor Psi_raw(i) = 0 gives the primitive; the whole grid
+        shares one adaptive pass, so no value depends on the order of the
+        points or on earlier calls.
         """
-        z = complex(z)
-        if z.imag <= 0:
+        if np.any(z.imag <= 0):
             raise DomainError("the quadrature primitive needs Im z > 0")
-        hit = self._anchors.nearest(z)
-        z0, w0 = (1j, 0.0)
-        if hit is not None and abs(hit[0] - z) < abs(z - 1j):
-            z0, w0 = hit
-        if z == z0:
-            return complex(w0)
-        val = w0 + segment_quad(self._psi_nodes, z0, z, abs_tol=self.abs_tol)
-        self._anchors.insert(z, complex(val))
-        return complex(val)
+        return segment_quad(lambda s: -self._psi_fn.eval_array(s), 1j, z,
+                            abs_tol=self.abs_tol)
 
     def Psi(self, z):
         """Primitive of -psi (plus the stored normalization constant)."""
         z = np.asarray(z, dtype=complex)
-        if self.kind == "blackbox":
-            if z.shape:
-                flat = np.array([self._psi_raw_path(p) for p in z.ravel()])
-                return flat.reshape(z.shape) + self.normalization
-            return self._psi_raw_path(complex(z)) + self.normalization
-        out = self._psi_raw_vectorized(z) + self.normalization
+        out = self._psi_raw(z) + self.normalization
         return out if out.shape else complex(out)
 
     def psi_prime_of_Psi(self, z):
         """d/dz Psi = -psi; the Newton derivative for inversion."""
-        val = np.asarray(self.psi(np.asarray(z, dtype=complex)))
-        return -val if val.shape else -complex(val)
+        return -self.psi(z)
 
     # -- inversion -----------------------------------------------------------
 
@@ -244,43 +221,31 @@ class ConformalPair:
 
     def _solve_inverse(self, w: complex, seed: complex) -> complex:
         """One Newton solve Psi(z) = w from a given seed."""
-        def derivative(z):
-            return -complex(self.psi(z))
+        # the quadrature primitives (generic, blackbox) carry error near
+        # abs_tol
+        rtol = 1e-12 if self.kind == "rational" else 1e-9
+        return newton_halfplane(lambda z: complex(self.Psi(z)) - w,
+                                lambda z: -complex(self.psi(z)), seed,
+                                rtol=rtol, scale=max(1.0, abs(w)))
 
-        scale = max(1.0, abs(w))
-        if self.kind != "blackbox":
-            # the generic primitive carries quadrature error near abs_tol
-            rtol = 1e-9 if self.kind == "generic" else 1e-12
-            return newton_halfplane(lambda z: complex(self.Psi(z)) - w,
-                                    derivative, seed, rtol=rtol, scale=scale)
-        # pin the quadrature anchor for the whole solve so the residual is
-        # self-consistent at the Newton tolerance
-        z0 = complex(seed)
-        w0 = complex(self.Psi(z0))
-
-        def residual(z):
-            inc = segment_quad(self._psi_nodes, z0, z, abs_tol=self.abs_tol)
-            return w0 + complex(inc) - w
-
-        z = newton_halfplane(residual, derivative, z0, rtol=1e-9, scale=scale)
-        self._anchors.insert(z, w - self.normalization)
-        return z
-
-    def _phi_newton(self, w: complex, seed: complex | None) -> complex:
-        seeds = []
+    def _seeds(self, w: complex, seed: complex | None):
+        """The given seed, then the cached preimage nearest w; the cache
+        is searched only once the given seed has failed."""
         if seed is not None:
-            seeds.append(seed)
+            yield seed
         hit = self.cache.nearest(w)
         if hit is not None:
-            seeds.append(hit[1])
-        for s in seeds:
+            yield hit[1]
+
+    def _phi_newton(self, w: complex, seed: complex | None) -> complex:
+        for s in self._seeds(w, seed):
             try:
                 z = self._solve_inverse(w, s)
-                self.cache.insert(w, z)
-                return z
+                break
             except NewtonDivergence:
                 continue
-        z = self._phi_continuation(w)
+        else:
+            z = self._phi_continuation(w)
         self.cache.insert(w, z)
         return z
 

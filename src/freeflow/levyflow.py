@@ -175,8 +175,8 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
     if validate:
         # every phi evaluation is a Newton inversion here, so the invariant
         # check runs on a reduced grid; closed forms get the full one
-        light = halfplane_grid(n_r=8, n_theta=8) if pair.kind in (
-            "generic", "blackbox") else None
+        light = halfplane_grid(n_r=8, n_theta=8) \
+            if pair.kind == "generic" else None
         ff.check_invariants(grid=light)
     return ff
 

@@ -210,7 +210,8 @@ def pow_fn(theta: float) -> AnalyticFn:
 
 
 def rational_fn(r: RationalNevanlinna) -> AnalyticFn:
-    return AnalyticFn(r.evaluate, derivative=r.derivative, name="rational")
+    return AnalyticFn(r.evaluate, derivative=r.derivative, name="rational",
+                      form=r)
 
 
 def spec_fn(spec: NevanlinnaSpec, *, abs_tol: float = DEFAULT_ABS_TOL) -> AnalyticFn:
@@ -228,7 +229,8 @@ def to_analytic(obj) -> AnalyticFn:
         return obj
     if isinstance(obj, PowerForm):
         return AnalyticFn(obj.evaluate, derivative=obj.derivative,
-                          name=f"power({obj.coeff:g},{obj.exponent:g})")
+                          name=f"power({obj.coeff:g},{obj.exponent:g})",
+                          form=obj)
     if isinstance(obj, RationalNevanlinna):
         return rational_fn(obj)
     if isinstance(obj, NevanlinnaSpec):

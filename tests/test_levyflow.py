@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from freeflow import conformal
+from freeflow import conformal, quadrature
 from freeflow.conformal import ConformalPair
 from freeflow.errors import (DomainError, NotContaining, NotNevanlinna,
                              OutsideImage)
@@ -12,7 +12,8 @@ from freeflow.levyflow import (FlowField, KernelSlice, build_fal2, fal2_check,
                                increment_transform, marginal_law,
                                transition_kernel, vanishing_at_infinity)
 from freeflow.nevanlinna import (AnalyticFn, PowerForm, RationalNevanlinna,
-                                 const_fn, neg_pow, pow_fn, to_analytic)
+                                 const_fn, halfplane_grid, neg_pow, pow_fn,
+                                 rational_fn, to_analytic)
 
 RNG = np.random.default_rng(7221)
 
@@ -98,6 +99,20 @@ def test_from_generator_reads_structure_not_name():
     assert ff.kind != "power"
     for z in (1j, 2.0 + 0.5j, -3.0 + 0.1j):
         assert ff.phi(z) == pytest.approx(-2.0 * np.sqrt(z), abs=1e-14)
+
+
+def _route(ff):
+    return ff.kind, ff.gen_pair.kind if ff.gen_pair else None
+
+
+@pytest.mark.parametrize("form, wrap", [
+    (PowerForm(-1.0, 1.0 / 3.0), to_analytic),
+    (RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,)), rational_fn),
+    (RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,)), to_analytic),
+])
+def test_wrapped_form_takes_the_bare_route(form, wrap):
+    assert _route(FlowField.from_generator(wrap(form))) == \
+        _route(FlowField.from_generator(form))
 
 
 def test_from_generator_rejects_bad_phi():
@@ -224,6 +239,82 @@ def test_flow_route_must_be_known(ff_sqrt):
         pytest.approx(flow_conformal(ff_sqrt, 1j, 1.0), abs=1e-15)
     with pytest.raises(ValueError):
         flow(ff_sqrt, 1j, 1.0, route="auto")
+
+
+# -- black-box generator route ------------------------------------------------------
+# phi = z/(z^2 - 1) has no closed flow: its flow inverts a primitive of
+# -1/phi = 1/z - z computed by segment quadrature
+
+TWO_POLES = RationalNevanlinna(0.0, 0.0, (-1.0, 1.0), (0.5, 0.5))
+BLACKBOX_POINTS = np.array([0.3 + 1j, -2 + 0.5j, 1 + 2j, 4 + 0.2j])
+
+
+def blackbox_field():
+    ff = FlowField.from_generator(TWO_POLES)
+    assert ff.gen_pair.kind == "blackbox"
+    return ff
+
+
+def test_blackbox_primitive_independent_of_order():
+    zs = random_upper(40)
+    forward = blackbox_field().gen_pair.Psi(zs)
+    backward = blackbox_field().gen_pair.Psi(zs[::-1])[::-1]
+    assert np.array_equal(forward, backward)
+    # the primitive of z - 1/z that vanishes at i
+    exact = 0.5 * (zs * zs + 1.0) - np.log(zs) + 0.5j * math.pi
+    assert np.max(np.abs(forward - exact)) <= 1e-10
+
+
+def test_blackbox_primitive_shapes():
+    pair = blackbox_field().gen_pair
+    empty = pair.Psi(np.array([], dtype=complex))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert isinstance(pair.Psi(np.asarray(2j)), complex)
+
+
+def test_blackbox_flow_independent_of_order():
+    forward = flow_conformal(blackbox_field(), BLACKBOX_POINTS, 1.0)
+    backward = flow_conformal(blackbox_field(), BLACKBOX_POINTS[::-1],
+                              1.0)[::-1]
+    assert np.max(np.abs(forward - backward)) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
+def test_blackbox_flow_matches_ode(t):
+    ff = blackbox_field()
+    conf = flow_conformal(ff, BLACKBOX_POINTS, t)
+    ode = np.array([flow_ode(ff, z, t) for z in BLACKBOX_POINTS])
+    assert np.max(np.abs(conf - ode)) <= 1e-6
+
+
+def test_blackbox_inverse_roundtrip():
+    ff = blackbox_field()
+    fwd = flow_conformal(ff, BLACKBOX_POINTS, 1.0)
+    back = flow_inverse(ff, fwd, 1.0)
+    assert np.max(np.abs(back - BLACKBOX_POINTS)) <= 1e-8
+
+
+class PanelBudgetExceeded(Exception):
+    pass
+
+
+def test_blackbox_fal2_panel_budget(monkeypatch):
+    # each Newton residual is one segment quadrature from i; stop counting
+    # at the budget so a runaway solve fails fast instead of running on
+    budget = 100_000
+    calls = [0]
+    real_panel = quadrature._panel
+
+    def counting(*args):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise PanelBudgetExceeded(f"more than {budget} panels")
+        return real_panel(*args)
+
+    monkeypatch.setattr(quadrature, "_panel", counting)
+    verdict = fal2_check(TWO_POLES, (0.1, 5.0),
+                         grid=halfplane_grid(n_r=8, n_theta=8))
+    assert verdict.passed
 
 
 # -- FAL2 verdicts ------------------------------------------------------------------
