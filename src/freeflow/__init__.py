@@ -19,8 +19,8 @@ from .cauchy import (CauchySampler, DensityTable, InversionDomain,
                      free_convolve, reconstruct_cauchy, semigroup_marginal,
                      stieltjes_invert, subordinate, voiculescu_transform)
 from .conformal import (ConformalPair, ContainmentCertificate, SlitImage,
-                        contains_halfplane_translate, invert_primitive,
-                        normalize_for_halfplane, primitive_eval, slit_image)
+                        contains_halfplane_translate, normalize_for_halfplane,
+                        primitive_eval, slit_image)
 from .ode import OdeConfig, integrate_halfplane
 from .levyflow import (FlowField, KernelSlice, build_fal2, fal2_check, flow,
                        flow_conformal, flow_inverse, flow_ode,

@@ -1,4 +1,12 @@
-"""Damped Newton iteration confined to the open upper half-plane."""
+"""Damped Newton iteration confined to the open upper half-plane, over lanes.
+
+Each point of the seed array is one lane: an independent solve with its own
+damping step, iteration count and convergence flag.  An iteration makes one
+derivative call over the active lanes and one residual call per damping
+level over the lanes still damping, so a lane's iterates never depend on
+which other lanes share the solve (given residuals that are computed point
+by point).
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -8,69 +16,94 @@ from .errors import NewtonDivergence, QuadratureFailure
 MAX_ITER = 80
 DAMPING = 0.5
 MAX_DAMP = 45
+# magnitudes at or above this count as overflow
+_HUGE = 1e300
 
 
-def newton_halfplane(residual, derivative, seed: complex, *,
-                     rtol: float = 1e-12, scale: float = 1.0,
-                     max_iter: int = MAX_ITER) -> complex:
-    """Solve residual(w) = 0 for w with Im w > 0.
+def newton_halfplane(residual, derivative, seed, *, rtol: float = 1e-12,
+                     scale=1.0, max_iter: int = MAX_ITER):
+    """Solve residual(w) = 0 for w with Im w > 0, one lane per seed.
 
-    Steps that would leave the half-plane or increase |residual| are damped
-    by halving; running out of damping or iterations raises NewtonDivergence
-    with the iterate trace attached.
+    `seed` is a complex scalar or array and `scale` broadcasts to its
+    shape.  `residual(w, lanes)` gets the iterates of the active lanes and
+    their flat indices into `seed` (a residual with per-lane targets reads
+    `target[lanes]`); `derivative(w)` gets the iterates only.  A lane
+    converges once |residual| <= rtol * max(1, |scale|).  Steps that would
+    leave the half-plane or increase |residual| are damped by halving; a
+    lane fails when it runs out of damping or iterations, or when its
+    derivative vanishes.  Failed lanes are NaN; a scalar seed raises
+    NewtonDivergence instead, with the seed and last iterate as its trace.
     """
-    w = complex(seed)
-    if w.imag <= 0:
-        raise NewtonDivergence("seed not in the upper half-plane", trace=(w,))
-    tol = rtol * max(1.0, abs(scale))
-    trace = [w]
+    seeds = np.asarray(seed, dtype=complex)
+    w = seeds.ravel().copy()
+    tol = rtol * np.maximum(1.0, np.abs(np.broadcast_to(
+        np.asarray(scale, dtype=float), seeds.shape).ravel()))
     # overflow during damped probing is routine, not a fault
     with np.errstate(all="ignore"):
-        return _iterate(residual, derivative, w, tol=tol,
-                        trace=trace, max_iter=max_iter)
+        done = _iterate(residual, derivative, w, tol, max_iter)
+    if seeds.shape:
+        return np.where(done, w, complex("nan")).reshape(seeds.shape)
+    if not done[0]:
+        raise NewtonDivergence(
+            f"no convergence from {complex(seeds)} in {max_iter} damped "
+            f"iterations", trace=(complex(seeds), complex(w[0])))
+    return complex(w[0])
 
 
-def _iterate(residual, derivative, w, *, tol, trace, max_iter):
-    try:
-        fw = complex(residual(w))
-    except QuadratureFailure as exc:
-        raise NewtonDivergence(f"residual unevaluable at seed: {exc}",
-                               trace=trace) from exc
+def _iterate(residual, derivative, w, tol, max_iter):
+    """Run every lane of w in place; returns the converged mask.
+
+    Active lanes are kept compacted: `lanes` indexes w, and z, f, af
+    (= |f|) and t hold their iterates, residuals and tolerances.
+    """
+    lanes = np.arange(w.size)
+    f = _probe(residual, w, lanes)
+    af, t = np.abs(f), tol
+    done = af <= t
+    keep = (af < _HUGE) & ~done
+    lanes, f, af, t = lanes[keep], f[keep], af[keep], t[keep]
+    z = w[lanes]
     for _ in range(max_iter):
-        if abs(fw) <= tol:
-            return w
+        if not lanes.size:
+            break
         try:
-            d = complex(derivative(w))
-        except QuadratureFailure as exc:
-            raise NewtonDivergence(f"derivative unevaluable: {exc}",
-                                   trace=trace) from exc
-        if d == 0 or not _finite(d):
-            raise NewtonDivergence("vanishing or invalid derivative",
-                                   trace=trace)
-        dw = fw / d
+            d = np.asarray(derivative(z), dtype=complex)
+        except QuadratureFailure:
+            d = np.full(lanes.size, complex("nan"))
+        dw = f / d
+        pending = np.flatnonzero((d != 0) & (np.abs(d) < _HUGE))
+        keep = np.zeros(lanes.size, dtype=bool)
+        keep[pending] = True
         step = 1.0
         for _ in range(MAX_DAMP):
-            cand = w - step * dw
-            if cand.imag > 0:
-                # evaluation failures (e.g. grazing the cut) damp like
-                # overshoots instead of aborting the solve
-                try:
-                    fc = complex(residual(cand))
-                except (ArithmeticError, ValueError, QuadratureFailure):
-                    fc = complex("nan")
-                if _finite(fc) and (abs(fc) < abs(fw) or abs(fc) <= tol):
-                    w, fw = cand, fc
-                    trace.append(w)
-                    break
+            cand = z[pending] - step * dw[pending]
+            fc = _probe(residual, cand, lanes[pending])
+            afc = np.abs(fc)
+            accept = (afc < _HUGE) & ((afc < af[pending])
+                                      | (afc <= t[pending]))
+            took = pending[accept]
+            z[took], f[took], af[took] = cand[accept], fc[accept], afc[accept]
+            pending = pending[~accept]
+            if not pending.size:
+                break
             step *= DAMPING
-        else:
-            raise NewtonDivergence("no admissible damped step", trace=trace)
-    if abs(fw) <= tol:
-        return w
-    raise NewtonDivergence(
-        f"no convergence in {max_iter} iterations (|res|={abs(fw):.3g})",
-        trace=trace)
+        keep[pending] = False
+        w[lanes] = z
+        done[lanes[af <= t]] = True
+        keep &= af > t
+        lanes, z, f, af, t = lanes[keep], z[keep], f[keep], af[keep], t[keep]
+    return done
 
 
-def _finite(z: complex) -> bool:
-    return z == z and abs(z.real) < 1e300 and abs(z.imag) < 1e300
+def _probe(residual, cand, lanes):
+    """Residuals at candidate points; NaN outside C+ or where evaluation
+    fails (e.g. grazing the cut), which damps like an overshoot instead of
+    aborting the solve."""
+    fc = np.full(cand.size, complex("nan"))
+    inside = cand.imag > 0
+    if inside.any():
+        try:
+            fc[inside] = residual(cand[inside], lanes[inside])
+        except (ArithmeticError, ValueError, QuadratureFailure):
+            pass
+    return fc

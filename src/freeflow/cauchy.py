@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton import newton_halfplane
-from .errors import (DomainError, NewtonDivergence, OutsideInversionDomain)
+from .errors import (DomainError, FreeflowError, NewtonDivergence,
+                     OutsideInversionDomain)
 from .measures import Measure
 from .nevanlinna import AnalyticFn, to_analytic
 from .quadrature import DEFAULT_ABS_TOL
@@ -67,12 +68,16 @@ class CauchySampler:
         vals = self.fn.eval_array(upper)
         return np.where(zetas.imag >= 0, vals, np.conj(vals))
 
-    def derivative(self, zeta: complex) -> complex:
-        zeta = complex(zeta)
-        if self.measure is not None:
-            return complex(self.measure.integrate(
-                lambda u: -1.0 / (zeta - u) ** 2, abs_tol=self.abs_tol))
-        return self.fn.diff(zeta)
+    def derivative(self, zeta):
+        """G' at zeta (any array shape; a scalar gives a complex)."""
+        zetas = np.asarray(zeta, dtype=complex)
+        if self.measure is None:
+            return self.fn.diff(zetas)
+        flat = zetas.ravel()
+        d = np.asarray(self.measure.integrate(
+            lambda u: -1.0 / (flat[:, None] - np.asarray(u)[None, :]) ** 2,
+            abs_tol=self.abs_tol)).reshape(zetas.shape)
+        return d if d.shape else complex(d)
 
 
 def cauchy_transform(m: Measure, zeta: complex,
@@ -101,23 +106,22 @@ class InversionDomain:
                 and abs(z) >= self.lam)
 
 
-def _f_of(g: CauchySampler):
-    def F(w):
-        return 1.0 / g(w)
+def _invert_f(g: CauchySampler, z, *, rtol: float = 1e-12,
+              max_iter: int = 80):
+    """Solve F(w) = z for w in C+ (F = 1/G), seeded at the asymptote w = z.
 
-    def Fp(w):
-        gw = g(w)
+    Over an array of z every point is one Newton lane and a lane that
+    fails is NaN; a scalar z raises NewtonDivergence instead.
+    """
+    targets = np.asarray(z, dtype=complex).ravel()
+
+    def derivative(w):
+        gw = g.eval_array(w)
         return -g.derivative(w) / (gw * gw)
 
-    return F, Fp
-
-
-def _invert_f(g: CauchySampler, z: complex, *, rtol: float = 1e-12,
-              max_iter: int = 80) -> complex:
-    """Solve F(w) = z for w in C+, seeded at the asymptote w = z."""
-    F, Fp = _f_of(g)
-    return newton_halfplane(lambda w: F(w) - z, Fp, z, rtol=rtol,
-                            scale=abs(z), max_iter=max_iter)
+    return newton_halfplane(
+        lambda w, lanes: 1.0 / g.eval_array(w) - targets[lanes], derivative,
+        z, rtol=rtol, scale=np.abs(z), max_iter=max_iter)
 
 
 def voiculescu_transform(source, z: complex, *, domain: InversionDomain | None = None,
@@ -131,24 +135,35 @@ def voiculescu_transform(source, z: complex, *, domain: InversionDomain | None =
     return w - z
 
 
-def estimate_inversion_domain(source, *, gamma: float = 1.0,
+def estimate_inversion_domain(source, *, probe: str = "F",
+                              gamma: float = 1.0,
                               lam_max: float = 4096.0) -> InversionDomain:
     """Probe where Newton inversion converges from the asymptotic seed.
 
-    Doubles lambda until the three boundary rays of Gamma(gamma, lam) invert;
-    the constants are estimates for reporting, not certified bounds.
+    Doubles lambda until the three boundary rays of Gamma(gamma, lam)
+    invert, all three in one lane solve.  probe "F" inverts F = 1/G of the
+    law `source` (a Measure or a CauchySampler); probe "subordination"
+    solves w + phi(w) = zeta for the generator phi = `source`, as
+    semigroup_marginal does.  The constants are estimates for reporting,
+    not certified bounds.
     """
-    g = source if isinstance(source, CauchySampler) else CauchySampler(source)
+    if probe not in ("F", "subordination"):
+        raise ValueError(f"unknown probe {probe!r}")
+    if probe == "F" and not isinstance(source, CauchySampler):
+        source = CauchySampler(source)
     t = gamma / math.hypot(1.0, gamma)
-    directions = [1j, (t + 1j) / abs(t + 1j), (-t + 1j) / abs(-t + 1j)]
+    rays = np.array([1j, (t + 1j) / abs(t + 1j), (-t + 1j) / abs(-t + 1j)])
     lam = 1.0
     while lam <= lam_max:
+        zs = 1.05 * lam * rays
         try:
-            for d in directions:
-                _invert_f(g, 1.05 * lam * d, max_iter=40)
+            ws = _invert_f(source, zs, max_iter=40) if probe == "F" \
+                else subordinate(source, zs)
+        except FreeflowError:  # an unevaluable probe fails like divergence
+            ws = np.nan
+        if not np.any(np.isnan(ws)):
             return InversionDomain(gamma, lam)
-        except NewtonDivergence:
-            lam *= 2.0
+        lam *= 2.0
     raise NewtonDivergence(
         f"no inversion domain found with gamma={gamma} up to lam={lam_max}")
 
@@ -201,53 +216,59 @@ def free_convolve(phi1, phi2) -> AnalyticFn:
                       name="sum")
 
 
-def subordinate(phi, zeta: complex, t: float = 1.0, *,
-                seed: complex | None = None, rtol: float = 1e-12) -> complex:
+def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
     """Solve w + t phi(w) = zeta for w in C+.
 
-    Newton from w = zeta; if that stalls, Newton from FIXED_POINT_STEPS
-    iterates of w -> zeta - t phi(w), a map of C+ into {Im w >= Im zeta}
-    that converges from any seed, slowly near R (Belinschi-Bercovici 2007).
+    Every point of zeta is one lane of a single Newton solve from w = zeta.
+    Lanes that stall restart, together, from FIXED_POINT_STEPS iterates of
+    w -> zeta - t phi(w), a map of C+ into {Im w >= Im zeta} that converges
+    from any seed, slowly near R (Belinschi-Bercovici 2007).  A lane that
+    still fails is NaN; a scalar zeta raises NewtonDivergence instead.
     """
-    zeta = complex(zeta)
-    if zeta.imag <= 0:
+    zetas = np.asarray(zeta, dtype=complex)
+    if np.any(zetas.imag <= 0):
         raise DomainError("subordination point must lie in C+")
     if t < 0:
         raise DomainError("t must be nonnegative")
     fn = to_analytic(phi)
-    if t == 0:
-        return zeta
+    flat = zetas.ravel()
+    w = flat.copy()
 
-    def solve(w0):
-        return newton_halfplane(
-            lambda w: w + t * fn(w) - zeta,
-            lambda w: 1.0 + t * fn.diff(w),
-            w0, rtol=rtol, scale=abs(zeta))
+    def solve(lanes):
+        targets = flat[lanes]
+        w[lanes] = newton_halfplane(
+            lambda v, k: v + t * fn.eval_array(v) - targets[k],
+            lambda v: 1.0 + t * fn.diff(v),
+            w[lanes], rtol=rtol, scale=np.abs(targets))
 
-    try:
-        return solve(zeta if seed is None else seed)
-    except NewtonDivergence:
-        pass
-    w = zeta
-    for _ in range(FIXED_POINT_STEPS):
-        w = zeta - t * fn(w)
-    return solve(w)
+    if t > 0:
+        solve(np.arange(flat.size))
+        stalled = np.flatnonzero(np.isnan(w))
+        if stalled.size:
+            w[stalled] = flat[stalled]
+            for _ in range(FIXED_POINT_STEPS):
+                w[stalled] = flat[stalled] - t * fn.eval_array(w[stalled])
+            solve(stalled)
+    if zetas.shape:
+        return w.reshape(zetas.shape)
+    if np.isnan(w[0]):
+        raise NewtonDivergence(f"subordination at {complex(zetas)} diverged")
+    return complex(w[0])
 
 
-def semigroup_marginal(phi, t: float, zeta: complex, *,
-                       seed: complex | None = None) -> complex:
+def semigroup_marginal(phi, t: float, zeta):
     """G at time t of the free convolution semigroup generated by phi.
 
     Solves w + t phi(w) = zeta (the subordination equation for
-    F^(-1)(z) = z + t phi(z)) and returns 1/w; t = 0 gives 1/zeta.
+    F^(-1)(z) = z + t phi(z)) and returns 1/w; t = 0 gives 1/zeta.  Over
+    an array, NaN marks the points whose solve fails; a scalar raises.
     """
-    w = subordinate(phi, zeta, t, seed=seed)
-    return 1.0 / w
+    return 1.0 / subordinate(phi, zeta, t)
 
 
 def reconstruct_cauchy(phi, *, t: float = 1.0) -> CauchySampler:
     """CauchySampler of the law whose Voiculescu transform is t*phi."""
     fn = to_analytic(phi)
     # the sampler reflects below the axis, so G is needed on C+ only
-    return CauchySampler(to_analytic(
-        lambda zeta: semigroup_marginal(fn, t, zeta)))
+    return CauchySampler(AnalyticFn(
+        lambda zetas: semigroup_marginal(fn, t, zetas)))

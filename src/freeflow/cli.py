@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cauchy import free_convolve, semigroup_marginal, stieltjes_invert
+from .cauchy import (estimate_inversion_domain, free_convolve,
+                     semigroup_marginal, stieltjes_invert)
 from .conformal import ConformalPair, slit_image
 from .errors import FreeflowError, NewtonDivergence, NotContaining
 from .levyflow import (DEFAULT_T_SAMPLES, FlowField, build_fal2, fal2_check,
                        flow_conformal, flow_ode, increment_transform,
                        marginal_law, transition_kernel)
-from .nevanlinna import (NevanlinnaSpec, RationalNevanlinna,
+from .nevanlinna import (AnalyticFn, NevanlinnaSpec, RationalNevanlinna,
                          parse_named_form, recover_parameters, spec_fn,
                          to_analytic)
 
@@ -106,19 +107,6 @@ def _generator_field(args) -> FlowField:
     raise FreeflowError("one of --phi or --psi is required")
 
 
-def _estimate_domain(phi_fn) -> dict | None:
-    lam = 1.0
-    while lam <= 4096.0:
-        try:
-            for d in (1j, (1 + 2j) / abs(1 + 2j), (-1 + 2j) / abs(-1 + 2j)):
-                zeta = 1.05 * lam * d
-                semigroup_marginal(phi_fn, 1.0, zeta)
-            return {"gamma": 1.0, "lambda": lam}
-        except (NewtonDivergence, FreeflowError):
-            lam *= 2.0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -171,17 +159,17 @@ def _cmd_density(args) -> int:
         phi = to_analytic(parse_named_form(args.phi))
         t, extra = args.t, {"t": args.t}
 
-    def g_at(zeta: complex) -> complex:
-        try:
-            return semigroup_marginal(phi, t, zeta)
-        except FreeflowError:
-            return complex("nan")
-
-    table = stieltjes_invert(g_at, _parse_grid(args.grid), args.eps)
+    g = AnalyticFn(lambda zetas: semigroup_marginal(phi, t, zetas))
+    table = stieltjes_invert(g, _parse_grid(args.grid), args.eps)
     _write_csv(args.out, ["x", "density"], [
         (float(x), float(d)) for x, d in zip(table.grid, table.density)])
+    try:
+        dom = estimate_inversion_domain(phi, probe="subordination")
+        domain = {"gamma": dom.gamma, "lambda": dom.lam}
+    except NewtonDivergence:
+        domain = None
     _manifest(args, args.out, {"massDeficit": table.mass_deficit, **extra,
-                               "domainEstimates": _estimate_domain(phi)})
+                               "domainEstimates": domain})
     return 0
 
 

@@ -199,19 +199,55 @@ def flow_conformal(ff: FlowField, z, t: float):
         return ff.pair.Psi(_invert(ff.pair, z) + t)
     if ff.kind == "generator-pair":
         # Phi is the primitive (gen_pair.Psi up to sign) and Psi its inverse
-        return _invert(ff.gen_pair, ff.gen_pair.Psi(z) - t)
+        return _invert(ff.gen_pair, ff.gen_pair.Psi(z) - t,
+                       seed=_flow_seed(ff.phi, z, t))
     raise ValueError(f"unknown flow kind {ff.kind}")
 
 
-def _invert(pair: ConformalPair, w):
+def _invert(pair: ConformalPair, w, *, seed=None):
     """pair.Phi(w), raising OutsideImage if any point cannot be inverted."""
-    z = pair.Phi(w)
+    z = pair.Phi(w, seed=seed)
     bad = np.isnan(z)
     if np.any(bad):
         raise OutsideImage(f"inversion at {np.asarray(w)[bad].flat[0]} "
                            f"failed; the point is outside the image or "
                            f"numerically unreachable")
     return z
+
+
+# the generator-pair Newton seed takes an explicit-midpoint step per
+# FLOW_SEED_STEP of time, and four times as many for a lane that leaves C+,
+# up to FLOW_SEED_LEVELS times
+FLOW_SEED_STEP = 0.5
+FLOW_SEED_LEVELS = 4
+
+
+def _flow_seed(phi: AnalyticFn, z, t: float):
+    """Coarse explicit-midpoint integration of F' = -phi(F) from z over t.
+
+    The Newton seed of a generator pair's inverse, one lane per point.
+    -phi maps C+ into the closed upper half-plane, so forward steps stay in
+    C+; backward (t < 0) a coarse step can overshoot the axis.  A lane that
+    never stays in C+ gets NaN: no seed.
+    """
+    start = np.array(z, dtype=complex).ravel()
+    out = np.full(start.shape, complex("nan"))
+    n_steps = 1 + int(abs(t) / FLOW_SEED_STEP)
+    with np.errstate(all="ignore"):
+        for _ in range(FLOW_SEED_LEVELS):
+            todo = np.flatnonzero(np.isnan(out))
+            if not todo.size:
+                break
+            f, h = start[todo], t / n_steps
+            for _ in range(n_steps):
+                live = np.flatnonzero(f.imag > 0)
+                mid = f[live] - 0.5 * h * phi.eval_array(f[live])
+                f[live] = np.where(mid.imag > 0, f[live], complex("nan"))
+                up = live[mid.imag > 0]
+                f[up] -= h * phi.eval_array(mid[mid.imag > 0])
+            out[todo] = np.where(f.imag > 0, f, complex("nan"))
+            n_steps *= 4
+    return out.reshape(np.shape(z))
 
 
 def flow_inverse(ff: FlowField, z, t: float):
@@ -255,11 +291,13 @@ def fal2_check(phi, t_samples=DEFAULT_T_SAMPLES, *, grid=None,
     """
     ff = phi if isinstance(phi, FlowField) else FlowField.from_generator(phi)
     pts = halfplane_grid() if grid is None else np.asarray(grid, complex)
+    # F_t^(-1) = Psi(Phi(.) - t): one inversion serves every t
+    pre = ff.pair.Phi(pts) if ff.kind == "psi-pair" else None
     worst = None
     fail_frac = 0.0
     detail = {}
     for t in t_samples:
-        vals, failures = _proxy_values(ff, pts, t)
+        vals, failures = _proxy_values(ff, pts, t, pre)
         finite = np.isfinite(vals)
         bad_total = int(np.count_nonzero(~finite))  # includes failure slots
         imag = np.where(finite, vals.imag, -np.inf)
@@ -280,8 +318,11 @@ def fal2_check(phi, t_samples=DEFAULT_T_SAMPLES, *, grid=None,
                                    **detail})
 
 
-def _proxy_values(ff: FlowField, pts: np.ndarray, t: float):
-    """Values of phi o F_t^(-1) on pts plus the inversion-failure count."""
+def _proxy_values(ff: FlowField, pts: np.ndarray, t: float, pre=None):
+    """Values of phi o F_t^(-1) on pts plus the inversion-failure count.
+
+    pre is Phi(pts) for a psi-pair field.
+    """
     if ff.kind == "constant":
         return np.full(pts.shape, ff.const, dtype=complex), 0
     if ff.kind == "power":
@@ -290,7 +331,7 @@ def _proxy_values(ff: FlowField, pts: np.ndarray, t: float):
             return np.asarray(_power_proxy(c, p, pts, t)), 0
     gpair = ff.gen_pair
     if ff.kind == "psi-pair":
-        zz, f = ff.pair.Phi(pts) - t, ff.pair.psi
+        zz, f = pre - t, ff.pair.psi
     elif gpair.kind == "power":
         # principal-branch composition: the analytic continuation from the
         # initial domain, which exposes violations that the half-plane
@@ -302,7 +343,8 @@ def _proxy_values(ff: FlowField, pts: np.ndarray, t: float):
             zz = np.power(-q * u / c, 1.0 / q)
             return ff.phi.eval_array(zz), 0
     else:
-        zz, f = gpair.Phi(gpair.Psi(pts) + t), ff.phi.eval_array
+        zz = gpair.Phi(gpair.Psi(pts) + t, seed=_flow_seed(ff.phi, pts, -t))
+        f = ff.phi.eval_array
     ok = ~np.isnan(zz)
     out = np.full(pts.shape, complex("nan"))
     out[ok] = f(zz[ok])

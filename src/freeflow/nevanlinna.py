@@ -183,11 +183,17 @@ class AnalyticFn:
         return np.asarray(self.evaluator(np.asarray(zs, dtype=complex)),
                           dtype=complex)
 
-    def diff(self, z: complex, h: float = 1e-6) -> complex:
+    def diff(self, z, h: float = 1e-6):
+        """f' at z (any array shape; a scalar gives a complex): the given
+        derivative, else a central difference with step h max(1, |z|)."""
+        z = np.asarray(z, dtype=complex)
         if self.derivative is not None:
-            return complex(self.derivative(z))
-        step = h * max(1.0, abs(z))
-        return (self(z + step) - self(z - step)) / (2.0 * step)
+            d = np.asarray(self.derivative(z), dtype=complex)
+        else:
+            step = h * np.maximum(1.0, np.abs(z))
+            d = (self.eval_array(z + step)
+                 - self.eval_array(z - step)) / (2.0 * step)
+        return d if d.shape else complex(d)
 
 
 def const_fn(c: complex) -> AnalyticFn:

@@ -110,6 +110,18 @@ def test_estimate_inversion_domain():
     assert dom.contains(1j * (dom.lam * 1.1))
 
 
+def test_estimate_inversion_domain_probes():
+    # the library probes F = 1/G of a law; the CLI's semigroup and conv
+    # probe the subordination equation of their generator
+    semicircle_phi = AnalyticFn(lambda z: 1.0 / np.asarray(z, complex))
+    conv_phi = free_convolve(semicircle_phi, const_fn(-1j))
+    for phi in (semicircle_phi, conv_phi):
+        dom = estimate_inversion_domain(phi, probe="subordination")
+        assert (dom.gamma, dom.lam) == (1.0, 1.0)
+    with pytest.raises(ValueError):
+        estimate_inversion_domain(semicircle_measure(1.0), probe="G")
+
+
 def test_voiculescu_additivity_semicircle_plus_atom():
     m1 = semicircle_measure(1.0)
     m2 = dirac(1.0)
@@ -208,6 +220,20 @@ def test_flow_consistency_splits():
                           AnalyticFn(lambda z: t * phi.eval_array(z))),
             1.0, zeta)
         assert staged == pytest.approx(direct, abs=1e-6)
+
+
+def test_subordinate_over_array_matches_scalar_calls():
+    # 1/z + (-i) stalls near the origin, so some lanes take the fixed-point
+    # restart
+    phi = free_convolve(
+        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
+        const_fn(-1j))
+    zetas = np.concatenate([np.linspace(-3, 3, 25) + 1e-3j,
+                            gamma_points(1.0, 2.0, 10)]).reshape(5, 7)
+    got = subordinate(phi, zetas, 1.0)
+    assert got.shape == zetas.shape
+    scalar = np.array([subordinate(phi, z, 1.0) for z in zetas.ravel()])
+    assert np.max(np.abs(got.ravel() - scalar)) <= 1e-12
 
 
 def test_subordination_semicircle_plus_cauchy_near_origin():

@@ -105,6 +105,21 @@ def test_semigroup_semicircle_density(tmp_path):
     assert float(mid["density"]) == pytest.approx(1 / math.pi, abs=1e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--phi", SEMICIRCLE_PHI, "--t", "1",
+     "--grid=-2.2:2.2:201"],
+    ["conv", "--phi1", SEMICIRCLE_PHI, "--phi2", "const(0,-1)",
+     "--grid=-5:5:201"],
+], ids=["semigroup", "conv"])
+def test_density_manifest_domain_estimates(tmp_path, argv):
+    # the values the manifests carried before the CLI probe moved into
+    # cauchy.estimate_inversion_domain
+    out = tmp_path / "d.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = read_json(tmp_path / "d.csv.manifest.json")
+    assert manifest["domainEstimates"] == {"gamma": 1.0, "lambda": 1.0}
+
+
 def test_marginal_and_kernel_const(tmp_path):
     marg = tmp_path / "mg.csv"
     assert main(["marginal", "--phi", "const(0,-1)", "--t", "1",

@@ -5,14 +5,14 @@ import pytest
 
 from freeflow import quadrature
 from freeflow.conformal import (ConformalPair, ContainmentCertificate,
-                                contains_halfplane_translate, invert_primitive,
+                                contains_halfplane_translate,
                                 normalize_for_halfplane, primitive_eval,
                                 slit_image)
 from freeflow.errors import (MissingTailMetadata, OutsideImage, PoleOnPath)
 from freeflow.measures import (DensityPiece, Measure, dirac,
                                semicircle_measure)
 from freeflow.nevanlinna import (NevanlinnaSpec, PowerForm,
-                                 RationalNevanlinna)
+                                 RationalNevanlinna, halfplane_grid)
 
 RNG = np.random.default_rng(1123)
 
@@ -249,29 +249,29 @@ def test_containment_divergent_second_moment_no():
 def test_invert_roundtrip_log_pair():
     pair = ConformalPair.from_psi(PSI_LOG)
     w = complex(pair.Psi(1 + 1j))
-    assert invert_primitive(pair, w) == pytest.approx(1 + 1j, abs=1e-8)
+    assert pair.Phi(w) == pytest.approx(1 + 1j, abs=1e-8)
 
 
 def test_invert_power_closed_form():
     pair = ConformalPair.from_psi(PowerForm(-1.0, 0.5))
-    assert invert_primitive(pair, 2.0 / 3.0) == pytest.approx(1.0, abs=1e-8)
+    assert pair.Phi(2.0 / 3.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_invert_identity_map():
     pair = ConformalPair.from_psi(-1.0 + 0j)
-    assert invert_primitive(pair, 5j) == pytest.approx(5j, abs=1e-12)
+    assert pair.Phi(5j) == pytest.approx(5j, abs=1e-12)
 
 
 def test_invert_strip_far_target_fails():
     pair = ConformalPair.from_psi(RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,)))
     with pytest.raises(OutsideImage):
-        invert_primitive(pair, 1e6j)
+        pair.Phi(1e6j)
 
 
 def test_invert_quarter_plane_far_target_fails():
     pair = ConformalPair.from_psi(PowerForm(1.0, -0.5))
     with pytest.raises(OutsideImage):
-        invert_primitive(pair, 1e6j)
+        pair.Phi(1e6j)
 
 
 def test_phi_over_array_marks_failures_with_nan():
@@ -284,6 +284,57 @@ def test_phi_over_array_marks_failures_with_nan():
     scalar = ConformalPair.from_psi(strip)
     for k in (0, 2):
         assert got[k] == pytest.approx(scalar.Phi(ws[k]), rel=1e-10)
+
+
+# rational-flow's seed-1 fields: psi = a z + b + sum r/(z - x), one pole and
+# three poles
+RATIONAL_FLOW_FAMILIES = [
+    RationalNevanlinna(-1.0181633597643411, 0.015904196986285247,
+                       (-0.01837869816200739,), (1.0125779395574457,)),
+    RationalNevanlinna(-1.0288550916703039, 0.09398892082624832,
+                       (-1.4983342398743793, -0.016004097357984116,
+                        1.461080708803361),
+                       (0.9593383603967739, 0.9567071210670202,
+                        0.9672026318218667)),
+]
+
+
+@pytest.mark.parametrize("psi", RATIONAL_FLOW_FAMILIES,
+                         ids=["one-pole", "three-poles"])
+def test_phi_inverts_rational_flow_families_on_the_full_grid(psi):
+    pair = ConformalPair.from_psi(psi)
+    ws = halfplane_grid()
+    zs = pair.Phi(ws)
+    assert not np.any(np.isnan(zs))
+    assert np.all(zs.imag > 0)
+    resid = np.abs(pair.Psi(zs) - ws) / np.maximum(1.0, np.abs(ws))
+    assert np.max(resid) <= 1e-12
+
+
+def _permutation_case(kind):
+    """A pair of the given kind and targets w = Psi(z) of random z."""
+    if kind == "rational":
+        pair = ConformalPair.from_psi(RATIONAL_FLOW_FAMILIES[1])
+        zs = random_upper(200)
+    else:
+        pair = normalize_for_halfplane(ConformalPair.from_psi(SEMICIRCLE_SPEC))
+        zs = random_upper(12)
+    return pair, pair.Psi(zs)
+
+
+@pytest.mark.parametrize("kind", ["rational", "generic"])
+def test_phi_independent_of_order(kind):
+    pair, ws = _permutation_case(kind)
+    perm = RNG.permutation(ws.size)
+    forward = pair.Phi(ws)
+    assert not np.any(np.isnan(forward))
+    assert np.array_equal(pair.Phi(ws[perm]), forward[perm])
+
+
+def test_scalar_phi_is_one_lane():
+    pair = ConformalPair.from_psi(RATIONAL_FLOW_FAMILIES[1])
+    for w in (0.3 + 0.2j, -4 + 1e-3j, 2 - 2j, 50j):
+        assert pair.Phi(w) == pair.Phi(np.array([w]))[0]
 
 
 # -- pair invariants -----------------------------------------------------------------

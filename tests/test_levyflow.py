@@ -7,10 +7,11 @@ from freeflow import conformal, quadrature
 from freeflow.conformal import ConformalPair
 from freeflow.errors import (DomainError, NotContaining, NotNevanlinna,
                              OutsideImage)
-from freeflow.levyflow import (FlowField, KernelSlice, build_fal2, fal2_check,
-                               flow, flow_conformal, flow_inverse, flow_ode,
-                               increment_transform, marginal_law,
-                               transition_kernel, vanishing_at_infinity)
+from freeflow.levyflow import (DEFAULT_T_SAMPLES, FlowField, KernelSlice,
+                               build_fal2, fal2_check, flow, flow_conformal,
+                               flow_inverse, flow_ode, increment_transform,
+                               marginal_law, transition_kernel,
+                               vanishing_at_infinity)
 from freeflow.nevanlinna import (AnalyticFn, PowerForm, RationalNevanlinna,
                                  const_fn, halfplane_grid, neg_pow, pow_fn,
                                  rational_fn, to_analytic)
@@ -317,7 +318,126 @@ def test_blackbox_fal2_panel_budget(monkeypatch):
     assert verdict.passed
 
 
+def test_blackbox_phi_independent_of_order():
+    pair = blackbox_field().gen_pair
+    zs = random_upper(24)
+    ws = pair.Psi(zs) - 0.5
+    seeds = zs + 0.1j
+    perm = RNG.permutation(zs.size)
+    forward = pair.Phi(ws, seed=seeds)
+    assert not np.any(np.isnan(forward))
+    assert np.array_equal(pair.Phi(ws[perm], seed=seeds[perm]), forward[perm])
+    # without seeds every lane walks the dogleg, all of them in lockstep
+    few = ws[:3]
+    assert np.array_equal(pair.Phi(few[::-1]), pair.Phi(few)[::-1])
+
+
+def test_blackbox_flow_keeps_array_shape():
+    # the per-point seeds follow the shape of the points
+    ff = blackbox_field()
+    grid = BLACKBOX_POINTS.reshape(2, 2)
+    got = flow_conformal(ff, grid, 1.0)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), flow_conformal(ff, BLACKBOX_POINTS, 1.0))
+
+
+def test_blackbox_fal2_keeps_off_the_dogleg(monkeypatch):
+    # seeded by coarse flow steps from each point, the falsifier's 224
+    # inversions stay off the dogleg (none measured); seeding each point
+    # from the previous preimage sent 5 there
+    lanes = [0]
+    walk = ConformalPair._phi_continuation
+
+    def counting(self, w):
+        lanes[0] += w.size
+        return walk(self, w)
+
+    monkeypatch.setattr(ConformalPair, "_phi_continuation", counting)
+    verdict = fal2_check(TWO_POLES, (0.1, 5.0),
+                         grid=halfplane_grid(n_r=8, n_theta=8))
+    assert verdict.passed
+    assert lanes[0] < 5
+
+
+# -- the two halves of the parametrisation ---------------------------------------
+
+def test_converse_factorisation_matches_psi_route():
+    # phi = psi o Phi handed over as a bare function takes the black-box
+    # generator route: a primitive of 1/phi (-Phi up to a constant),
+    # inverted by Newton, with no use of psi
+    direct = build_fal2(RationalNevanlinna(-1.0, 0.0, (0.0,), (1.0,)))
+    converse = FlowField.from_generator(AnalyticFn(direct.phi.eval_array))
+    assert converse.gen_pair.kind == "blackbox"
+    for t in (0.5, 1.0):
+        assert np.max(np.abs(flow_conformal(converse, BLACKBOX_POINTS, t)
+                             - flow_conformal(direct, BLACKBOX_POINTS, t))
+                      ) <= 1e-6
+    # F_t^(-1)(z) exists in C+ only on F_t(C+); the psi route reads its
+    # analytic continuation psi(Phi(z) - t) everywhere, the generator route
+    # can only invert.  On the grid points inside F_5(C+) (so inside every
+    # F_t(C+), t <= 5) the two verdicts agree
+    grid = halfplane_grid(n_r=6, n_theta=6)
+    back = direct.pair.Psi(direct.pair.Phi(grid) - 5.0)
+    grid = grid[back.imag > 1e-3]
+    verdict = fal2_check(converse, grid=grid)
+    assert verdict.passed
+    reference = fal2_check(direct, grid=grid)
+    for key, entry in reference.detail.items():
+        if key.startswith("t="):
+            assert verdict.detail[key]["inversionFailures"] == 0
+            assert verdict.detail[key]["maxIm"] == pytest.approx(
+                entry["maxIm"], abs=1e-9)
+
+
 # -- FAL2 verdicts ------------------------------------------------------------------
+
+# rational-flow's seed-1 three-pole field
+THREE_POLES = RationalNevanlinna(
+    -1.0288550916703039, 0.09398892082624832,
+    (-1.4983342398743793, -0.016004097357984116, 1.461080708803361),
+    (0.9593383603967739, 0.9567071210670202, 0.9672026318218667))
+
+
+def test_fal2_check_inverts_once_on_psi_pair(monkeypatch):
+    ff = build_fal2(THREE_POLES)
+    pts = halfplane_grid()
+    sizes = []
+    real_phi = ConformalPair.Phi
+
+    def counting(self, w, **kwargs):
+        sizes.append(np.size(w))
+        return real_phi(self, w, **kwargs)
+
+    monkeypatch.setattr(ConformalPair, "Phi", counting)
+    verdict = fal2_check(ff)
+    assert sizes == [pts.size]
+    assert verdict.passed
+    # the detail of inverting once per t, bit for bit
+    for t in DEFAULT_T_SAMPLES:
+        vals = ff.pair.psi(real_phi(ff.pair, pts) - t)
+        assert verdict.detail[f"t={t:g}"] == {
+            "maxIm": float(np.max(vals.imag)), "inversionFailures": 0}
+
+
+def test_fal2_check_newton_lane_budget(monkeypatch):
+    # lanes handed to the residuals of every Newton solve of one check on
+    # the 4,480-point grid: 19,884 in 21 residual calls as measured, where
+    # solving point by point took about 75,000 scalar residual calls
+    budget = 40_000
+    ff = build_fal2(THREE_POLES)
+    lanes = [0]
+    solve = conformal.newton_halfplane
+
+    def counting(residual, derivative, seed, **kwargs):
+        def counted(z, idx):
+            lanes[0] += np.size(z)
+            return residual(z, idx)
+        return solve(counted, derivative, seed, **kwargs)
+
+    monkeypatch.setattr(conformal, "newton_halfplane", counting)
+    assert fal2_check(ff).passed
+    assert lanes[0] <= budget
+
 
 def test_fal2_constant_passes(ff_const):
     assert fal2_check(ff_const).passed
