@@ -242,9 +242,9 @@ def _flow_seed(phi: AnalyticFn, z, t: float):
             for _ in range(n_steps):
                 live = np.flatnonzero(f.imag > 0)
                 mid = f[live] - 0.5 * h * phi.eval_array(f[live])
-                f[live] = np.where(mid.imag > 0, f[live], complex("nan"))
-                up = live[mid.imag > 0]
-                f[up] -= h * phi.eval_array(mid[mid.imag > 0])
+                ok = mid.imag > 0
+                f[live[~ok]] = complex("nan")
+                f[live[ok]] -= h * phi.eval_array(mid[ok])
             out[todo] = np.where(f.imag > 0, f, complex("nan"))
             n_steps *= 4
     return out.reshape(np.shape(z))
