@@ -9,15 +9,14 @@ from .measures import (Atom, DensityPiece, Measure, atomic, cauchy_law, dirac,
                        semicircle_measure, table_density)
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, RecoveryResult, Verdict,
-                         const_fn, constant_spec, eval_nevanlinna,
-                         halfplane_grid, is_nevanlinna_numeric, neg_pow,
-                         parse_named_form, pow_fn, rational_fn,
-                         rational_to_canonical, recover_parameters, spec_fn,
-                         to_analytic)
+                         const_fn, constant_spec, halfplane_grid,
+                         is_nevanlinna_numeric, neg_pow, parse_named_form,
+                         pow_fn, rational_fn, rational_to_canonical,
+                         recover_parameters, spec_fn, to_analytic)
 from .cauchy import (CauchySampler, DensityTable, InversionDomain,
-                     cauchy_transform, estimate_inversion_domain,
-                     free_convolve, reconstruct_cauchy, semigroup_marginal,
-                     stieltjes_invert, subordinate, voiculescu_transform)
+                     estimate_inversion_domain, free_convolve,
+                     reconstruct_cauchy, semigroup_marginal, stieltjes_invert,
+                     subordinate, voiculescu_transform)
 from .conformal import (ConformalPair, ContainmentCertificate, SlitImage,
                         contains_halfplane_translate, normalize_for_halfplane,
                         primitive_eval, slit_image)

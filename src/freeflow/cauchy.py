@@ -61,9 +61,9 @@ class CauchySampler:
                 u = np.asarray(u)
                 return 1.0 / (flat[:, None] - u[None, :])
 
-            return np.asarray(
-                self.measure.integrate(kernel, abs_tol=self.abs_tol)
-            ).reshape(zetas.shape)
+            return np.asarray(self.measure.integrate(
+                kernel, abs_tol=self.abs_tol,
+                closed=lambda e: e.cauchy(flat, e.b))).reshape(zetas.shape)
         upper = np.where(zetas.imag >= 0, zetas, np.conj(zetas))
         vals = self.fn.eval_array(upper)
         return np.where(zetas.imag >= 0, vals, np.conj(vals))
@@ -76,14 +76,9 @@ class CauchySampler:
         flat = zetas.ravel()
         d = np.asarray(self.measure.integrate(
             lambda u: -1.0 / (flat[:, None] - np.asarray(u)[None, :]) ** 2,
-            abs_tol=self.abs_tol)).reshape(zetas.shape)
+            abs_tol=self.abs_tol,
+            closed=lambda e: e.cauchy_prime(flat, e.b))).reshape(zetas.shape)
         return d if d.shape else complex(d)
-
-
-def cauchy_transform(m: Measure, zeta: complex,
-                     *, abs_tol: float = DEFAULT_ABS_TOL) -> complex:
-    """G(zeta) for a probability measure; conjugate-symmetric off R."""
-    return CauchySampler(m, abs_tol=abs_tol)(zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,10 @@ class ConformalPair:
         """-[alpha (z^2 + 1)/2 + beta (z - i) + int K(z, u) nu(du)].
 
         K(z, u) is the primitive of the canonical kernel (1 + u s)/(s - u)
-        from i to z, so the whole grid costs one quadrature over nu.
+        from i to z.  A smooth finite piece of nu contributes
+        (z - i) m1 + L(z) - L(i) in closed form, L the log integral of
+        (1 + u^2) rho and m1 = -Re C(i) as in eval_grid; atoms and the
+        other pieces share one quadrature over the whole grid.
         """
         spec: NevanlinnaSpec = self.psi_form
         if np.any(z.imag <= 0):
@@ -127,9 +130,12 @@ class ConformalPair:
         flat = z.ravel()
         acc = 0.5 * spec.alpha * (flat ** 2 + 1.0) + spec.beta * (flat - 1j)
         if not spec.nu.is_empty:
+            def closed(e):
+                return (e.log_cauchy(flat, e.c) - e.log_cauchy(1j, e.c)
+                        - (flat - 1j) * e.cauchy(1j, e.c).real)
             acc = acc + spec.nu.integrate(
                 lambda u: _kernel_primitive(flat[:, None], u),
-                abs_tol=self.abs_tol)
+                abs_tol=self.abs_tol, closed=closed)
         return -acc.reshape(z.shape)
 
     def _psi_raw_path(self, z: np.ndarray) -> np.ndarray:

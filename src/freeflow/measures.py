@@ -11,9 +11,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import MissingTailMetadata
 from .quadrature import DEFAULT_ABS_TOL, adaptive_quad, quad_interval
@@ -55,6 +57,97 @@ class DensityPiece:
     def unbounded(self) -> bool:
         return np.isinf(self.lo) or np.isinf(self.hi)
 
+    @cached_property
+    def expansion(self) -> "ChebyshevU | None":
+        """Chebyshev-U expansion of the density, fitted on first use; None
+        when the piece is unbounded or not smooth (see ChebyshevU.fit)."""
+        return None if self.unbounded else ChebyshevU.fit(
+            self.density, self.lo, self.hi)
+
+
+# dropped coefficients may sum to _CHOP_ULPS n eps of the l1 norm: each one
+# carries the samples' rounding (more where rho rounds u - centre by an edge)
+_CHOP_ULPS = 8
+
+
+@dataclass(frozen=True)
+class ChebyshevU:
+    """rho(u) = sqrt(1 - x^2) sum_k b_k U_k(x) on [lo, hi], x = (u - mid)/half
+    with mid and half the centre and half-width; c holds the coefficients
+    of (1 + u^2) rho.
+
+    With zeta = (z - mid)/half and J = zeta - sqrt(zeta - 1) sqrt(zeta + 1),
+    a Cauchy-type integral over the piece is a power series in J (Olver and
+    Nadakuditi, arXiv:1203.1958): O(len(a)) work per point however close z
+    is to the support.  tail bounds the truncation error of cauchy and of
+    log_cauchy(z) - log_cauchy(i).
+    """
+    lo: float
+    hi: float
+    b: np.ndarray
+    c: np.ndarray
+    tail: float
+
+    @classmethod
+    def fit(cls, density, lo: float, hi: float) -> "ChebyshevU | None":
+        """DST-II, by FFT, of rho at n = 64, 128, 256 theta-midpoints until
+        the dropped coefficients fit in the upper half; None if they never
+        do (a kink, a jump, or an edge where rho does not vanish like a
+        square root: the coefficients then decay only algebraically)."""
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        # a dropped b_k moves c by up to (1 + max u^2) b_k, L by pi half more
+        scale = math.pi * max(1.0, 2.0 * half) * (1.0 + (abs(mid) + half) ** 2)
+        for n in (64, 128, 256):
+            m = np.arange(1, n + 1)
+            f = density(mid + half * np.cos(math.pi * (m - 0.5) / n))
+            spec = np.conj(np.fft.fft(np.asarray(f, dtype=float), 2 * n))
+            b = (2.0 / n) * (np.exp(0.5j * math.pi * m / n) * spec[m]).imag
+            b[-1] *= 0.5
+            dropped = scale * np.cumsum(np.abs(b[::-1]))[::-1]
+            tol = _CHOP_ULPS * n * np.finfo(float).eps * dropped[0]
+            # NaN counts as not negligible, so it never passes as resolved
+            keep = max(1, int(np.count_nonzero(~(dropped <= tol))))
+            if keep <= n // 2:
+                b, xb = b[:keep], _times_x(b[:keep])
+                c = ((1.0 + mid * mid) * np.append(b, [0.0, 0.0])
+                     + 2.0 * mid * half * np.append(xb, 0.0)
+                     + half * half * _times_x(xb))
+                return cls(lo, hi, b, c, float(dropped[keep]))
+        return None
+
+    def _joukowski(self, z):
+        # zeta -/+ 1 from z - hi and z - lo, exact next to an edge
+        half = 0.5 * (self.hi - self.lo)
+        root = np.sqrt((z - self.hi) / half) * np.sqrt((z - self.lo) / half)
+        # J = zeta - root = 1/(zeta + root): no cancellation as |z| grows
+        return 1.0 / ((z - 0.5 * (self.lo + self.hi)) / half + root), root
+
+    def cauchy(self, z, a: np.ndarray):
+        """int w(u)/(z - u) du = pi sum_k a_k J^(k+1); a is b or c."""
+        j, _ = self._joukowski(z)
+        return math.pi * j * polyval(j, a)
+
+    def cauchy_prime(self, z, a: np.ndarray):
+        """d/dz of cauchy(z, a), from dJ/dzeta = -J/root."""
+        j, root = self._joukowski(z)
+        return (-2.0 * math.pi / (self.hi - self.lo)) * (j / root) * polyval(
+            j, a * np.arange(1, a.size + 1))
+
+    def log_cauchy(self, z, a: np.ndarray):
+        """int w(u) log(z - u) du, up to a constant: (pi half/2) times
+        a_0 (J^2/2 - log J) + sum_k>=1 a_k (J^(k+2)/(k+2) - J^k/k)."""
+        j, _ = self._joukowski(z)
+        # the coefficient of J^m, m >= 1, is (a_(m-2) - a_m)/m
+        padded = np.concatenate([[0.0, 0.0], a, [0.0, 0.0]])
+        e = (padded[1:-2] - padded[3:]) / np.arange(1, a.size + 2)
+        return (0.25 * math.pi * (self.hi - self.lo)) * (
+            j * polyval(j, e) - a[0] * np.log(j))
+
+
+def _times_x(a: np.ndarray) -> np.ndarray:
+    """Coefficients of x sum_k a_k U_k, from x U_k = (U_(k-1) + U_(k+1))/2."""
+    return 0.5 * (np.append(0.0, a) + np.append(a[1:], [0.0, 0.0]))
+
 
 @dataclass(frozen=True)
 class Measure:
@@ -71,11 +164,14 @@ class Measure:
 
     # -- integration ----------------------------------------------------
 
-    def integrate(self, f, *, abs_tol: float = DEFAULT_ABS_TOL):
+    def integrate(self, f, *, abs_tol: float = DEFAULT_ABS_TOL, closed=None):
         """Return sum_atoms mass*f(u) + sum_pieces int f(u) density(u) du.
 
         f maps an abscissa array to values with the abscissa axis last, so
         vector-valued integrands (a grid of transforms) work in one pass.
+        closed, if given, maps a piece's ChebyshevU expansion to the same
+        integral in closed form; it replaces quadrature on each piece whose
+        expansion has a tail bound of at most abs_tol / n_pieces.
         """
         total = None
         if self.atoms:
@@ -85,7 +181,11 @@ class Measure:
             total = np.tensordot(vals, w, axes=([-1], [0]))
         n = max(1, len(self.pieces))
         for piece in self.pieces:
-            part = _integrate_piece(f, piece, abs_tol / n)
+            exp = None if closed is None else piece.expansion
+            if exp is not None and exp.tail <= abs_tol / n:
+                part = closed(exp)
+            else:
+                part = _integrate_piece(f, piece, abs_tol / n)
             total = part if total is None else total + part
         if total is None:
             return 0.0
@@ -131,7 +231,11 @@ class Measure:
             def g(u, _d=dens, _k=k):
                 return u ** _k * np.asarray(_d(u))
 
-            finite += float(np.real(quad_interval(g, lo, hi, abs_tol=abs_tol)))
+            # u^k density(u) decays like |u|^(k - tail_exponent)
+            tail = (piece.tail_exponent - k
+                    if np.isinf(lo) or np.isinf(hi) else None)
+            finite += float(np.real(quad_interval(g, lo, hi, abs_tol=abs_tol,
+                                                  tail_exponent=tail)))
         if plus_inf and minus_inf:
             raise ValueError("moment is indeterminate: both tails diverge")
         if plus_inf:
@@ -198,19 +302,21 @@ class Measure:
 
 
 def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
-    """int f(u) density(u) du over one piece.
+    """int f(u) density(u) du over one piece with no closed form.
 
     Finite pieces are integrated in theta with u = mid + half cos(theta):
     square-root edges (and inverse square-root ones) become smooth
     endpoints.  The Jacobian half sin(theta) multiplies the 1-d density
-    weights, never the (points x nodes) values of f.
+    weights, never the (points x nodes) values of f.  Unbounded sides are
+    folded with the piece's tail exponent, so a heavy tail stays smooth.
     """
     dens = piece.density
     if piece.unbounded:
         def g(u):
             return np.asarray(f(u)) * np.asarray(dens(u))
 
-        return quad_interval(g, piece.lo, piece.hi, abs_tol=abs_tol)
+        return quad_interval(g, piece.lo, piece.hi, abs_tol=abs_tol,
+                             tail_exponent=piece.tail_exponent)
     mid = 0.5 * (piece.lo + piece.hi)
     half = 0.5 * (piece.hi - piece.lo)
 

@@ -49,7 +49,13 @@ class NevanlinnaSpec:
         return complex(self.eval_grid(z, abs_tol=abs_tol))
 
     def eval_grid(self, zs, *, abs_tol: float = DEFAULT_ABS_TOL) -> np.ndarray:
-        """Evaluate on an array of points in one adaptive quadrature pass."""
+        """Evaluate on an array of points.
+
+        As (1 + u z)/(z - u) = u + (1 + u^2)/(z - u), a smooth finite piece
+        of nu adds m1 + C(z) in closed form, C the Cauchy integral of
+        (1 + u^2) rho and m1 = int u rho = -Re C(i).  Atoms and the other
+        pieces share one adaptive quadrature pass over the whole grid.
+        """
         zs = np.asarray(zs, dtype=complex)
         flat = zs.ravel()
         if np.any(flat.imag <= 0):
@@ -59,7 +65,11 @@ class NevanlinnaSpec:
             def kernel(u):
                 u = np.asarray(u)
                 return (1.0 + flat[:, None] * u[None, :]) / (flat[:, None] - u[None, :])
-            acc = acc + self.nu.integrate(kernel, abs_tol=abs_tol)
+
+            def closed(e):
+                return e.cauchy(flat, e.c) - e.cauchy(1j, e.c).real
+            acc = acc + self.nu.integrate(kernel, abs_tol=abs_tol,
+                                          closed=closed)
         return acc.reshape(zs.shape)
 
 
@@ -251,11 +261,6 @@ def to_analytic(obj) -> AnalyticFn:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def eval_nevanlinna(spec: NevanlinnaSpec, z: complex,
-                    *, abs_tol: float = DEFAULT_ABS_TOL) -> complex:
-    return spec.evaluate(z, abs_tol=abs_tol)
-
 
 def rational_to_canonical(r: RationalNevanlinna) -> NevanlinnaSpec:
     """Change of representation: residue alpha_k at xi_k becomes an atom of

@@ -4,7 +4,7 @@ Integrands map a 1-d array of abscissae to values whose last axis matches
 the abscissae; leading axes (if any) are integrated component-wise, which
 lets callers evaluate a whole grid of transforms in one adaptive pass.
 Complex values are fine.  Unbounded intervals are folded onto (0, 1) with
-u = anchor +/- (1-s)/s.
+u = anchor +/- ((1-s)/s)^gamma, gamma set by the integrand's tail decay.
 """
 from __future__ import annotations
 
@@ -94,49 +94,56 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = DEFAULT_ABS_TOL,
     return total
 
 
-def quad_right_tail(f, lo: float, *, abs_tol: float = DEFAULT_ABS_TOL, **kw):
-    """Integrate f over [lo, +inf).
+def _half_line(f, end: float, sign: float, abs_tol: float,
+               tail_exponent: float | None, kw):
+    """Integrate f from end towards sign * inf.
 
-    A unit-width buffer next to lo is integrated in the original coordinate
+    A unit-width buffer next to end is integrated in the original coordinate
     (so integrable endpoint singularities keep full float resolution); the
-    rest is folded onto (0, 1) via u = lo + 1 + (1-s)/s.
+    rest is folded onto (0, 1) via u = end + sign (1 + ((1-s)/s)^gamma).  A
+    tail f ~ |u|^-p becomes s^(gamma (p-1) - 1), bounded for gamma = 1/(p-1)
+    when 1 < p < 2; otherwise gamma = 1.
     """
-    anchor = lo + 1.0
+    anchor = end + sign
+    p = tail_exponent
+    gamma = 1.0 / (p - 1.0) if p is not None and 1.0 < p < 2.0 else 1.0
 
     def g(s):
-        u = anchor + (1.0 - s) / s
-        return np.asarray(f(u)) / s ** 2
+        r = (1.0 - s) / s
+        return (np.asarray(f(anchor + sign * r ** gamma))
+                * (gamma * r ** (gamma - 1.0)) / s ** 2)
 
-    return (adaptive_quad(f, lo, anchor, abs_tol=abs_tol / 2, **kw)
+    lo, hi = sorted((end, anchor))
+    return (adaptive_quad(f, lo, hi, abs_tol=abs_tol / 2, **kw)
             + adaptive_quad(g, 0.0, 1.0, abs_tol=abs_tol / 2, **kw))
 
 
-def quad_left_tail(f, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL, **kw):
+def quad_right_tail(f, lo: float, *, abs_tol: float = DEFAULT_ABS_TOL,
+                    tail_exponent: float | None = None, **kw):
+    """Integrate f ~ u^-tail_exponent over [lo, +inf); see _half_line."""
+    return _half_line(f, lo, 1.0, abs_tol, tail_exponent, kw)
+
+
+def quad_left_tail(f, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL,
+                   tail_exponent: float | None = None, **kw):
     """Integrate f over (-inf, hi]; mirror of quad_right_tail."""
-    anchor = hi - 1.0
-
-    def g(s):
-        u = anchor - (1.0 - s) / s
-        return np.asarray(f(u)) / s ** 2
-
-    return (adaptive_quad(f, anchor, hi, abs_tol=abs_tol / 2, **kw)
-            + adaptive_quad(g, 0.0, 1.0, abs_tol=abs_tol / 2, **kw))
+    return _half_line(f, hi, -1.0, abs_tol, tail_exponent, kw)
 
 
 def quad_interval(f, lo: float, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL,
-                  **kw):
-    """Integrate f over an interval that may be unbounded on either side."""
+                  tail_exponent: float | None = None, **kw):
+    """Integrate f over an interval that may be unbounded on either side,
+    where f ~ |u|^-tail_exponent."""
     left_inf = np.isinf(lo)
     right_inf = np.isinf(hi)
     if not left_inf and not right_inf:
         return adaptive_quad(f, lo, hi, abs_tol=abs_tol, **kw)
     if left_inf and right_inf:
-        split = 0.0
-        return (quad_left_tail(f, split, abs_tol=abs_tol / 2, **kw)
-                + quad_right_tail(f, split, abs_tol=abs_tol / 2, **kw))
+        return (_half_line(f, 0.0, -1.0, abs_tol / 2, tail_exponent, kw)
+                + _half_line(f, 0.0, 1.0, abs_tol / 2, tail_exponent, kw))
     if right_inf:
-        return quad_right_tail(f, lo, abs_tol=abs_tol, **kw)
-    return quad_left_tail(f, hi, abs_tol=abs_tol, **kw)
+        return _half_line(f, lo, 1.0, abs_tol, tail_exponent, kw)
+    return _half_line(f, hi, -1.0, abs_tol, tail_exponent, kw)
 
 
 def segment_quad(f, z0: complex, z1, *, abs_tol: float = DEFAULT_ABS_TOL,

@@ -8,8 +8,8 @@ from freeflow.errors import (DomainError, EvaluatorFailure,
 from freeflow.measures import Measure, dirac, semicircle_measure
 from freeflow.nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                                  RationalNevanlinna, const_fn, constant_spec,
-                                 eval_nevanlinna, is_nevanlinna_numeric,
-                                 neg_pow, parse_named_form, pow_fn,
+                                 is_nevanlinna_numeric, neg_pow,
+                                 parse_named_form, pow_fn,
                                  rational_to_canonical, recover_parameters,
                                  spec_fn, to_analytic, validate_derivative)
 
@@ -25,23 +25,23 @@ def random_upper(n, scale=5.0):
 
 def test_eval_dirac_at_i():
     spec = NevanlinnaSpec(0.0, 0.0, dirac(0.0))
-    assert eval_nevanlinna(spec, 1j) == pytest.approx(-1j, abs=1e-12)
+    assert spec.evaluate(1j) == pytest.approx(-1j, abs=1e-12)
 
 
 def test_eval_dirac_at_2i():
     spec = NevanlinnaSpec(0.0, 0.0, dirac(0.0))
-    assert eval_nevanlinna(spec, 2j) == pytest.approx(-0.5j, abs=1e-12)
+    assert spec.evaluate(2j) == pytest.approx(-0.5j, abs=1e-12)
 
 
 def test_eval_pure_linear():
     spec = NevanlinnaSpec(-1.0, 0.0, Measure())
-    assert eval_nevanlinna(spec, 1 + 1j) == pytest.approx(-1 - 1j, abs=1e-12)
+    assert spec.evaluate(1 + 1j) == pytest.approx(-1 - 1j, abs=1e-12)
 
 
 def test_eval_rejects_lower_halfplane():
     spec = NevanlinnaSpec(0.0, 0.0, dirac(0.0))
     with pytest.raises(DomainError):
-        eval_nevanlinna(spec, -1j)
+        spec.evaluate(-1j)
 
 
 def test_values_stay_in_lower_halfplane():
