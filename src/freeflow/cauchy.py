@@ -63,7 +63,8 @@ class CauchySampler:
 
             return np.asarray(self.measure.integrate(
                 kernel, abs_tol=self.abs_tol,
-                closed=lambda e: e.cauchy(flat, e.b))).reshape(zetas.shape)
+                closed=("b", lambda e, b: e.cauchy(flat, b)))
+            ).reshape(zetas.shape)
         upper = np.where(zetas.imag >= 0, zetas, np.conj(zetas))
         vals = self.fn.eval_array(upper)
         return np.where(zetas.imag >= 0, vals, np.conj(vals))
@@ -77,7 +78,8 @@ class CauchySampler:
         d = np.asarray(self.measure.integrate(
             lambda u: -1.0 / (flat[:, None] - np.asarray(u)[None, :]) ** 2,
             abs_tol=self.abs_tol,
-            closed=lambda e: e.cauchy_prime(flat, e.b))).reshape(zetas.shape)
+            closed=("b", lambda e, b: e.cauchy_prime(flat, b)))
+        ).reshape(zetas.shape)
         return d if d.shape else complex(d)
 
 

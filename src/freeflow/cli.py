@@ -300,10 +300,10 @@ def _cmd_flow(args) -> int:
     im_grid = _parse_grid(args.im_grid)
     ts = [float(v) for v in args.t.split(",")]
     rows = []
+    zs = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
     for t in ts:
-        zs = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
         if args.route == "ode":
-            vals = np.array([flow_ode(ff, z, t) for z in zs])
+            vals = flow_ode(ff, zs, t)
         else:
             vals = np.asarray(flow_conformal(ff, zs, t))
         rows += [(float(z.real), float(z.imag), float(w.real), float(w.imag),

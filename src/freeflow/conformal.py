@@ -130,12 +130,12 @@ class ConformalPair:
         flat = z.ravel()
         acc = 0.5 * spec.alpha * (flat ** 2 + 1.0) + spec.beta * (flat - 1j)
         if not spec.nu.is_empty:
-            def closed(e):
-                return (e.log_cauchy(flat, e.c) - e.log_cauchy(1j, e.c)
-                        - (flat - 1j) * e.cauchy(1j, e.c).real)
+            def closed(e, c):
+                return (e.log_cauchy(flat, c) - e.log_cauchy(1j, c)
+                        - (flat - 1j) * e.cauchy(1j, c).real)
             acc = acc + spec.nu.integrate(
                 lambda u: _kernel_primitive(flat[:, None], u),
-                abs_tol=self.abs_tol, closed=closed)
+                abs_tol=self.abs_tol, closed=("c", closed))
         return -acc.reshape(z.shape)
 
     def _psi_raw_path(self, z: np.ndarray) -> np.ndarray:

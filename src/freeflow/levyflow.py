@@ -18,7 +18,8 @@ import numpy as np
 from .cauchy import stieltjes_invert
 from .conformal import (ConformalPair, ContainmentCertificate,
                         contains_halfplane_translate, normalize_for_halfplane)
-from .errors import DomainError, NotContaining, NotNevanlinna, OutsideImage
+from .errors import (DomainError, NotContaining, NotNevanlinna, OutsideImage,
+                     StepUnderflow)
 from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, Verdict, halfplane_grid,
@@ -257,12 +258,22 @@ def flow_inverse(ff: FlowField, z, t: float):
     return flow_conformal(ff, z, -t)
 
 
-def flow_ode(ff: FlowField, z: complex, t: float) -> complex:
-    """F_t by adaptive integration of F' = -phi(F), staying in C+."""
+def flow_ode(ff: FlowField, z, t: float):
+    """F_t by adaptive integration of F' = -phi(F), staying in C+.
+
+    One integration lane per point of z (see integrate_halfplane); raises
+    StepUnderflow if any lane fails, naming the first failed point.
+    """
     if t < 0:
         raise DomainError("flow_ode integrates forward time only")
     phi = ff.phi
-    return integrate_halfplane(lambda y: -phi(y), complex(z), t, ff.ode)
+    out = integrate_halfplane(lambda y: -phi.eval_array(y), z, t, ff.ode)
+    bad = np.isnan(out)
+    if np.any(bad):
+        raise StepUnderflow(f"integration from {np.asarray(z)[bad].flat[0]} "
+                            f"over t = {t:g} failed; the flow leaves C+ or "
+                            f"the step budget ran out")
+    return out
 
 
 def flow(ff: FlowField, z, t: float, *, route: str = "conformal"):

@@ -80,13 +80,15 @@ class ChebyshevU:
     a Cauchy-type integral over the piece is a power series in J (Olver and
     Nadakuditi, arXiv:1203.1958): O(len(a)) work per point however close z
     is to the support.  tail bounds the truncation error of cauchy and of
-    log_cauchy(z) - log_cauchy(i).
+    log_cauchy(z) - log_cauchy(i) over either weight; tail_b, the smaller
+    bound over b alone, leaves out the factor 1 + max u^2 that c carries.
     """
     lo: float
     hi: float
     b: np.ndarray
     c: np.ndarray
     tail: float
+    tail_b: float
 
     @classmethod
     def fit(cls, density, lo: float, hi: float) -> "ChebyshevU | None":
@@ -95,7 +97,8 @@ class ChebyshevU:
         do (a kink, a jump, or an edge where rho does not vanish like a
         square root: the coefficients then decay only algebraically)."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        # a dropped b_k moves c by up to (1 + max u^2) b_k, L by pi half more
+        # a dropped b_k moves cauchy over b by up to pi b_k, c by up to
+        # (1 + max u^2) b_k, and log_cauchy by pi half more
         scale = math.pi * max(1.0, 2.0 * half) * (1.0 + (abs(mid) + half) ** 2)
         for n in (64, 128, 256):
             m = np.arange(1, n + 1)
@@ -103,7 +106,8 @@ class ChebyshevU:
             spec = np.conj(np.fft.fft(np.asarray(f, dtype=float), 2 * n))
             b = (2.0 / n) * (np.exp(0.5j * math.pi * m / n) * spec[m]).imag
             b[-1] *= 0.5
-            dropped = scale * np.cumsum(np.abs(b[::-1]))[::-1]
+            rest = np.cumsum(np.abs(b[::-1]))[::-1]
+            dropped = scale * rest
             tol = _CHOP_ULPS * n * np.finfo(float).eps * dropped[0]
             # NaN counts as not negligible, so it never passes as resolved
             keep = max(1, int(np.count_nonzero(~(dropped <= tol))))
@@ -112,7 +116,8 @@ class ChebyshevU:
                 c = ((1.0 + mid * mid) * np.append(b, [0.0, 0.0])
                      + 2.0 * mid * half * np.append(xb, 0.0)
                      + half * half * _times_x(xb))
-                return cls(lo, hi, b, c, float(dropped[keep]))
+                return cls(lo, hi, b, c, float(dropped[keep]),
+                           math.pi * float(rest[keep]))
         return None
 
     def _joukowski(self, z):
@@ -169,9 +174,11 @@ class Measure:
 
         f maps an abscissa array to values with the abscissa axis last, so
         vector-valued integrands (a grid of transforms) work in one pass.
-        closed, if given, maps a piece's ChebyshevU expansion to the same
-        integral in closed form; it replaces quadrature on each piece whose
-        expansion has a tail bound of at most abs_tol / n_pieces.
+        closed, if given, is a pair (weight, fn): weight is "b" (rho) or
+        "c" ((1 + u^2) rho), and fn maps a piece's ChebyshevU expansion and
+        that weight's coefficients to the same integral in closed form.  It
+        replaces quadrature on each piece whose bound for that weight
+        (tail_b or tail) is at most abs_tol / n_pieces.
         """
         total = None
         if self.atoms:
@@ -182,8 +189,10 @@ class Measure:
         n = max(1, len(self.pieces))
         for piece in self.pieces:
             exp = None if closed is None else piece.expansion
-            if exp is not None and exp.tail <= abs_tol / n:
-                part = closed(exp)
+            coef, bound = (None, math.inf) if exp is None else (
+                (exp.b, exp.tail_b) if closed[0] == "b" else (exp.c, exp.tail))
+            if bound <= abs_tol / n:
+                part = closed[1](exp, coef)
             else:
                 part = _integrate_piece(f, piece, abs_tol / n)
             total = part if total is None else total + part

@@ -66,10 +66,10 @@ class NevanlinnaSpec:
                 u = np.asarray(u)
                 return (1.0 + flat[:, None] * u[None, :]) / (flat[:, None] - u[None, :])
 
-            def closed(e):
-                return e.cauchy(flat, e.c) - e.cauchy(1j, e.c).real
+            def closed(e, c):
+                return e.cauchy(flat, c) - e.cauchy(1j, c).real
             acc = acc + self.nu.integrate(kernel, abs_tol=abs_tol,
-                                          closed=closed)
+                                          closed=("c", closed))
         return acc.reshape(zs.shape)
 
 

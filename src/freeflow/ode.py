@@ -1,13 +1,21 @@
-"""Embedded Runge-Kutta-Fehlberg 4(5) for complex flows confined to C+.
+"""Embedded Runge-Kutta-Fehlberg 4(5) for complex flows confined to C+, over
+lanes.
 
-The exact flows integrated here preserve the upper half-plane, so any trial
-step (or stage point) with Im <= 0 is rejected and the step halved; when the
-step falls below min_step the integrator gives up with StepUnderflow instead
-of continuing through the boundary.
+Each starting point is one lane: an independent integration with its own
+time, step, accept/reject decisions and step budget.  An attempt makes one
+rhs call per stage over the lanes whose earlier stages stayed valid, so a
+lane's steps never depend on which other lanes share the solve (given an rhs
+computed point by point).  The exact flows integrated here preserve the
+upper half-plane, so a trial step whose stage points or result leave it (or
+are not finite) is rejected and the step halved; a lane whose step falls
+below min_step, or which uses up max_steps attempts, fails instead of
+continuing through the boundary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, StepUnderflow
 
@@ -32,50 +40,107 @@ class OdeConfig:
     max_steps: int = 200000
 
 
-def integrate_halfplane(rhs, y0: complex, t_end: float,
-                        config: OdeConfig = OdeConfig()) -> complex:
-    """Integrate y' = rhs(y) from 0 to t_end >= 0 with y confined to C+."""
+def integrate_halfplane(rhs, y0, t_end: float,
+                        config: OdeConfig = OdeConfig()):
+    """Integrate y' = rhs(y) from 0 to t_end >= 0 with y confined to C+.
+
+    `y0` is a complex scalar or array, one lane per point, and `rhs` maps
+    an array of points to an array of the same size.  Failed lanes are NaN;
+    a scalar y0 returns a complex, or raises StepUnderflow if its lane
+    fails.  Every start must lie in C+ (DomainError otherwise), and
+    t_end = 0 returns a copy of the input.
+    """
     if t_end < 0:
         raise DomainError("integration time must be nonnegative")
-    y = complex(y0)
-    if y.imag <= 0:
+    starts = np.asarray(y0, dtype=complex)
+    y = starts.ravel().copy()
+    if np.any(y.imag <= 0):
         raise DomainError("initial point must lie in the upper half-plane")
-    if t_end == 0:
-        return y
-    t = 0.0
-    h = min(0.01, t_end)
-    for _ in range(config.max_steps):
-        if t >= t_end:
-            return y
-        h = min(h, t_end - t)
-        if h < config.min_step:
-            raise StepUnderflow(
-                f"step {h:.3g} below minimum at t = {t:.6g}, y = {y}")
-        ks = []
-        ok = True
-        for row in _A:
-            stage = y + h * sum(a * k for a, k in zip(row, ks))
-            if stage.imag <= 0:
-                ok = False
-                break
-            try:
-                ks.append(complex(rhs(stage)))
-            except (ArithmeticError, ValueError, DomainError):
-                ok = False
-                break
-        if not ok:
-            h *= 0.5
-            continue
-        y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-        if y5.imag <= 0 or y5 != y5:
-            h *= 0.5
-            continue
-        err = abs(y5 - y4)
-        tol = config.abs_tol + config.rel_tol * max(abs(y), abs(y5))
-        if err <= tol:
-            t += h
-            y = y5
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
-        h *= min(max(factor, 0.2), 5.0)
-    raise StepUnderflow(f"step budget exhausted at t = {t:.6g}")
+    t = np.full(y.size, float(t_end))
+    if t_end > 0:
+        # a trial step may overflow or leave C+; that rejects it, no more
+        with np.errstate(all="ignore"):
+            done = _march(rhs, y, t, float(t_end), config)
+    else:
+        done = np.ones(y.size, dtype=bool)
+    if starts.shape:
+        return np.where(done, y, complex("nan")).reshape(starts.shape)
+    if not done[0]:
+        raise StepUnderflow(
+            f"integration from {complex(starts)} stopped at t = {t[0]:.6g} "
+            f"of {t_end:.6g}, y = {complex(y[0])}: step below "
+            f"{config.min_step:g} or {config.max_steps} attempts used")
+    return complex(y[0])
+
+
+def _march(rhs, y, t_out, t_end, cfg):
+    """Run every lane of y to t_end in place; returns the finished mask.
+
+    Live lanes are kept compacted: `lanes` indexes y, and z, t and h hold
+    their points, times and next steps.  Every live lane makes one attempt
+    per pass, so the pass count is each lane's attempt count.  A lane that
+    stops writes its point to y and its time to t_out.
+    """
+    lanes = np.arange(y.size)
+    z = y.copy()
+    t = np.zeros(y.size)
+    h = np.full(y.size, min(0.01, t_end))
+    done = np.zeros(y.size, dtype=bool)
+    for attempt in range(cfg.max_steps + 1):
+        # retire lanes that reached t_end or whose step fell below min_step;
+        # the extra pass retires the lanes that finished on their last try
+        finished = t >= t_end
+        h = np.minimum(h, t_end - t)
+        stop = finished | (h < cfg.min_step)
+        if stop.any():
+            y[lanes[stop]], t_out[lanes[stop]] = z[stop], t[stop]
+            done[lanes[finished]] = True
+            go = ~stop
+            lanes, z, t, h = lanes[go], z[go], t[go], h[go]
+        if not lanes.size or attempt == cfg.max_steps:
+            break
+        k = np.empty((6, z.size), dtype=complex)
+        ok = _stages(rhs, z, h, k)
+        y5 = z + h * _combine(_B5, k)
+        ok &= (y5.imag > 0) & np.isfinite(y5)
+        err = np.abs(y5 - (z + h * _combine(_B4, k)))
+        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(y5))
+        accept = ok & (err <= tol)
+        t = np.where(accept, t + h, t)
+        z = np.where(accept, y5, z)
+        factor = np.where(err > 0, 0.9 * (tol / err) ** 0.2, 5.0)
+        h = np.where(ok, h * np.clip(factor, 0.2, 5.0), 0.5 * h)
+    y[lanes], t_out[lanes] = z, t
+    return done
+
+
+def _stages(rhs, z, h, k):
+    """Fill the stage slopes k (6 x lanes) of one attempt from points z with
+    steps h; returns the mask of lanes whose stages all stayed valid.
+
+    A lane drops out at its first stage point outside C+ or not finite, or
+    when the rhs call covering it raises.
+    """
+    ok = np.ones(z.size, dtype=bool)
+    for s, row in enumerate(_A):
+        stage = z + h * _combine(row, k) if row else z
+        ok &= (stage.imag > 0) & np.isfinite(stage)
+        live = np.flatnonzero(ok)
+        if not live.size:
+            break
+        try:
+            k[s, live] = rhs(stage[live])
+        except (ArithmeticError, ValueError, DomainError):
+            ok[live] = False
+            break
+    return ok
+
+
+def _combine(coeffs, k):
+    """sum_j coeffs[j] k[j], term by term so that each lane's sum is the
+    same whatever lanes share the array."""
+    acc = None
+    for c, kj in zip(coeffs, k):
+        if c:
+            acc = c * kj if acc is None else acc + c * kj
+    return acc

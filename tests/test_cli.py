@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from freeflow import cli, levyflow
 from freeflow.cli import main
 
 RATIONAL_LOG = "rational(a=-1,b=0,poles=[0],residues=[1])"
@@ -153,6 +154,39 @@ def test_flow_snapshots(tmp_path, route):
         expect = z + t * np.sqrt(2 * z) + t * t / 2
         assert complex(float(r["re_out"]), float(r["im_out"])) == \
             pytest.approx(expect, abs=1e-8)
+
+
+def test_flow_ode_work_budget(tmp_path, monkeypatch):
+    # the benchmark's `flow --route ode` command: one integration per t over
+    # the whole 20 x 10 grid, so the generator sees a few hundred array
+    # calls, not one call per stage of every point's every step
+    integrations, evals = [0], [0]
+    real_integrate = levyflow.integrate_halfplane
+    real_field = cli._generator_field
+
+    def counting_integrate(*args):
+        integrations[0] += 1
+        return real_integrate(*args)
+
+    def counting_field(args):
+        ff = real_field(args)
+        real_eval = ff.phi.eval_array
+
+        def counting_eval(zs):
+            evals[0] += 1
+            return real_eval(zs)
+        ff.phi.eval_array = counting_eval
+        return ff
+
+    monkeypatch.setattr(levyflow, "integrate_halfplane", counting_integrate)
+    monkeypatch.setattr(cli, "_generator_field", counting_field)
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--psi", "negPow(1)", "--route", "ode",
+                 "--t", "0.25,1.0,2.0", "--grid=-3:3:20",
+                 "--im-grid", "0.1:3:10", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 600
+    assert integrations[0] == 3
+    assert 0 < evals[0] < 1000
 
 
 def test_increment_json(tmp_path):

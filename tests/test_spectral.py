@@ -193,3 +193,24 @@ def test_smooth_pieces_take_no_panels(panels):
     table = Measure(pieces=(NON_SMOOTH["table"],))
     NevanlinnaSpec(-0.5, 0.2, table).eval_grid(zs[:4] + 1.0j)
     assert panels[0] > 0
+
+
+def test_far_piece_takes_the_closed_form_for_g(panels):
+    # semicircle(1) on [98, 102]: the bound over (1 + u^2) rho carries
+    # 1 + 102^2 and stays above 1e-10, the bound over rho alone does not
+    far = Measure(pieces=(shifted_semicircle(1.0, 100.0),))
+    exp = far.pieces[0].expansion
+    assert exp.tail > 1e-10 and exp.tail_b <= 1e-11
+    zs = np.linspace(97.0, 103.0, 200) + 1e-3j
+    sampler = CauchySampler(far)  # its mass check is a quadrature
+    panels[0] = 0
+    g = sampler.eval_array(zs)
+    g_prime = sampler.derivative(zs[:20])
+    assert panels[0] == 0
+    centred = CauchySampler(semicircle_measure(1.0))
+    assert np.max(np.abs(g - centred.eval_array(zs - 100.0))) <= 1e-12
+    assert np.max(np.abs(g_prime - centred.derivative(zs[:20] - 100.0))) \
+        <= 1e-12
+    # psi integrates (1 + u^2) rho, whose bound keeps the adaptive rule
+    NevanlinnaSpec(-0.5, 0.2, far).eval_grid(zs[:4] + 1.0j)
+    assert panels[0] > 0
