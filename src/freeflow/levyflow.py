@@ -11,7 +11,7 @@ G = 1/(F_t - x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, Verdict, halfplane_grid,
                          is_nevanlinna_numeric, to_analytic,
                          vanishing_at_infinity)
-from .ode import OdeConfig, integrate_halfplane
+from .ode import integrate_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,10 @@ def _power_proxy(coeff: float, exponent: float, z, t: float):
 class FlowField:
     """A generator phi with whatever structure makes its flow computable.
 
-    kind: "constant", "power" (phi = coeff z^exp), "psi-pair" (built from a
-    primitive with image containing C+) or "generator-pair" (converse
-    factorization through a primitive of -1/phi).
+    kind: "constant", "power" (phi = coeff z^exp, which includes phi = r/z
+    as (r, -1)), "psi-pair" (built from a primitive with image containing
+    C+) or "generator-pair" (converse factorization through a primitive of
+    -1/phi).
     """
     phi: AnalyticFn
     kind: str
@@ -76,31 +77,26 @@ class FlowField:
     gen_pair: ConformalPair | None = None
     power: tuple[float, float] | None = None
     const: complex | None = None
-    ode: OdeConfig = field(default_factory=OdeConfig)
     certificate: ContainmentCertificate | None = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_generator(cls, phi, *, validate: bool = True,
-                       ode: OdeConfig | None = None) -> "FlowField":
-        ode = ode or OdeConfig()
+    def from_generator(cls, phi) -> "FlowField":
         form = phi.form if isinstance(phi, AnalyticFn) else phi
         if isinstance(form, (int, float, complex)):
             c = complex(form)
             if c.imag > 0:
                 raise NotNevanlinna(f"constant generator {c} has Im > 0")
-            ff = cls(to_analytic(c), "constant", const=c, ode=ode)
+            ff = cls(to_analytic(c), "constant", const=c)
         elif isinstance(form, PowerForm):
             ff = cls(to_analytic(form), "power",
-                     power=(form.coeff, form.exponent), ode=ode)
+                     power=(form.coeff, form.exponent))
         elif isinstance(form, RationalNevanlinna) and form.a == 0.0 \
                 and form.b == 0.0 and form.poles == (0.0,):
-            # phi = r/z: -1/phi = -z/r is an exact power form
-            r = form.residues[0]
-            gpair = ConformalPair.from_psi(PowerForm(-1.0 / r, 1.0))
-            ff = cls(to_analytic(form), "generator-pair", gen_pair=gpair,
-                     ode=ode)
+            # phi = r/z is the power field r z^(-1)
+            ff = cls(to_analytic(form), "power",
+                     power=(form.residues[0], -1.0))
         else:
             fn = to_analytic(phi)
             # converse factorization: a primitive of -1/phi plays Phi, and
@@ -108,9 +104,8 @@ class FlowField:
             eta = AnalyticFn(lambda z: -1.0 / fn.eval_array(z),
                              name="minus-reciprocal")
             gpair = ConformalPair.from_psi_blackbox(eta)
-            ff = cls(fn, "generator-pair", gen_pair=gpair, ode=ode)
-        if validate:
-            ff.check_invariants()
+            ff = cls(fn, "generator-pair", gen_pair=gpair)
+        ff.check_invariants()
         return ff
 
     # -- invariants -----------------------------------------------------------
@@ -130,8 +125,7 @@ class FlowField:
 # construction from psi (the nonlinear parametrisation)
 # ---------------------------------------------------------------------------
 
-def build_fal2(psi, *, ode: OdeConfig | None = None,
-               validate: bool = True) -> FlowField:
+def build_fal2(psi) -> FlowField:
     """Flow field with generator psi o Phi.
 
     psi may be a NevanlinnaSpec, RationalNevanlinna, PowerForm, or a complex
@@ -139,7 +133,6 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
     image of the primitive must contain a half-plane translate; the verdict
     certificate is stored on the result.
     """
-    ode = ode or OdeConfig()
     if isinstance(psi, (int, float, complex)):
         c = complex(psi)
         if c.imag >= 0 and c.imag != 0:
@@ -148,7 +141,7 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
             # real constants pass through the main branch via drift
             psi = NevanlinnaSpec(0.0, float(c.real), Measure())
         else:
-            return FlowField(to_analytic(c), "constant", const=c, ode=ode)
+            return FlowField(to_analytic(c), "constant", const=c)
     if isinstance(psi, PowerForm) and psi.coeff < 0:
         cert = contains_halfplane_translate(psi)
         if not cert.verdict:
@@ -159,10 +152,8 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
         pair = ConformalPair.from_psi(psi)
         phi = PowerForm(float(np.real(coeff)), psi.exponent / q)
         ff = FlowField(to_analytic(phi), "power", pair=pair,
-                       power=(phi.coeff, phi.exponent), ode=ode,
-                       certificate=cert)
-        if validate:
-            ff.check_invariants()
+                       power=(phi.coeff, phi.exponent), certificate=cert)
+        ff.check_invariants()
         return ff
     cert = contains_halfplane_translate(psi)
     if not cert.verdict:
@@ -170,15 +161,13 @@ def build_fal2(psi, *, ode: OdeConfig | None = None,
             f"the image of the primitive contains no half-plane translate "
             f"({cert.condition})", certificate=cert)
     pair = normalize_for_halfplane(ConformalPair.from_psi(psi))
-    phi = AnalyticFn(lambda ws: pair.psi(_invert(pair, ws)),
+    phi = AnalyticFn(lambda ws: pair.psi(_no_nan(pair.Phi(ws), ws)),
                      name="psi-o-Phi")
-    ff = FlowField(phi, "psi-pair", pair=pair, ode=ode, certificate=cert)
-    if validate:
-        # every phi evaluation is a Newton inversion here, so the invariant
-        # check runs on a reduced grid; closed forms get the full one
-        light = halfplane_grid(n_r=8, n_theta=8) \
-            if pair.kind == "generic" else None
-        ff.check_invariants(grid=light)
+    ff = FlowField(phi, "psi-pair", pair=pair, certificate=cert)
+    # every phi evaluation is a Newton inversion here, so the invariant
+    # check runs on a reduced grid; closed forms get the full one
+    light = halfplane_grid(n_r=8, n_theta=8) if pair.kind == "generic" else None
+    ff.check_invariants(grid=light)
     return ff
 
 
@@ -197,17 +186,14 @@ def flow_conformal(ff: FlowField, z, t: float):
         c, p = ff.power
         return _power_flow(c, p, z, t)
     if ff.kind == "psi-pair":
-        return ff.pair.Psi(_invert(ff.pair, z) + t)
+        return ff.pair.Psi(_no_nan(ff.pair.Phi(z), z) + t)
     if ff.kind == "generator-pair":
-        # Phi is the primitive (gen_pair.Psi up to sign) and Psi its inverse
-        return _invert(ff.gen_pair, ff.gen_pair.Psi(z) - t,
-                       seed=_flow_seed(ff.phi, z, t))
+        return _no_nan(_generator_flow(ff, z, t), z)
     raise ValueError(f"unknown flow kind {ff.kind}")
 
 
-def _invert(pair: ConformalPair, w, *, seed=None):
-    """pair.Phi(w), raising OutsideImage if any point cannot be inverted."""
-    z = pair.Phi(w, seed=seed)
+def _no_nan(z, w):
+    """z, or OutsideImage naming the first point of w whose z is NaN."""
     bad = np.isnan(z)
     if np.any(bad):
         raise OutsideImage(f"inversion at {np.asarray(w)[bad].flat[0]} "
@@ -216,39 +202,25 @@ def _invert(pair: ConformalPair, w, *, seed=None):
     return z
 
 
-# the generator-pair Newton seed takes an explicit-midpoint step per
-# FLOW_SEED_STEP of time, and four times as many for a lane that leaves C+,
-# up to FLOW_SEED_LEVELS times
-FLOW_SEED_STEP = 0.5
-FLOW_SEED_LEVELS = 4
+def _generator_flow(ff: FlowField, z, t: float):
+    """F_t(z) for a generator pair, NaN where a lane fails.
 
-
-def _flow_seed(phi: AnalyticFn, z, t: float):
-    """Coarse explicit-midpoint integration of F' = -phi(F) from z over t.
-
-    The Newton seed of a generator pair's inverse, one lane per point.
-    -phi maps C+ into the closed upper half-plane, so forward steps stay in
-    C+; backward (t < 0) a coarse step can overshoot the axis.  A lane that
-    never stays in C+ gets NaN: no seed.
+    One RKF45 call runs a lane per point: F' = -phi(F) over t, or the
+    backward flow G' = phi(G) over |t| when t < 0.  A backward lane from a
+    point outside F_|t|(C+) reaches the real axis before time |t| and
+    fails, so that point is NaN with no Newton solve.  Each finished lane
+    seeds the Newton polish gen_pair.Phi(gen_pair.Psi(z) - t).
     """
-    start = np.array(z, dtype=complex).ravel()
-    out = np.full(start.shape, complex("nan"))
-    n_steps = 1 + int(abs(t) / FLOW_SEED_STEP)
-    with np.errstate(all="ignore"):
-        for _ in range(FLOW_SEED_LEVELS):
-            todo = np.flatnonzero(np.isnan(out))
-            if not todo.size:
-                break
-            f, h = start[todo], t / n_steps
-            for _ in range(n_steps):
-                live = np.flatnonzero(f.imag > 0)
-                mid = f[live] - 0.5 * h * phi.eval_array(f[live])
-                ok = mid.imag > 0
-                f[live[~ok]] = complex("nan")
-                f[live[ok]] -= h * phi.eval_array(mid[ok])
-            out[todo] = np.where(f.imag > 0, f, complex("nan"))
-            n_steps *= 4
-    return out.reshape(np.shape(z))
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    phi, pair = ff.phi, ff.gen_pair
+    sign = 1.0 if t >= 0 else -1.0
+    out = integrate_halfplane(lambda y: -sign * phi.eval_array(y), flat,
+                              abs(t))
+    ok = ~np.isnan(out)
+    out[ok] = pair.Phi(pair.Psi(flat[ok]) - t, seed=out[ok])
+    out = out.reshape(zs.shape)
+    return out if out.shape else complex(out)
 
 
 def flow_inverse(ff: FlowField, z, t: float):
@@ -267,7 +239,7 @@ def flow_ode(ff: FlowField, z, t: float):
     if t < 0:
         raise DomainError("flow_ode integrates forward time only")
     phi = ff.phi
-    out = integrate_halfplane(lambda y: -phi.eval_array(y), z, t, ff.ode)
+    out = integrate_halfplane(lambda y: -phi.eval_array(y), z, t)
     bad = np.isnan(out)
     if np.any(bad):
         raise StepUnderflow(f"integration from {np.asarray(z)[bad].flat[0]} "
@@ -340,22 +312,10 @@ def _proxy_values(ff: FlowField, pts: np.ndarray, t: float, pre=None):
         c, p = ff.power
         with np.errstate(all="ignore"):
             return np.asarray(_power_proxy(c, p, pts, t)), 0
-    gpair = ff.gen_pair
     if ff.kind == "psi-pair":
         zz, f = pre - t, ff.pair.psi
-    elif gpair.kind == "power":
-        # principal-branch composition: the analytic continuation from the
-        # initial domain, which exposes violations that the half-plane
-        # confined inverse branch would hide (e.g. next to a flow slit)
-        c, p = gpair.psi_form.coeff, gpair.psi_form.exponent
-        q = p + 1.0
-        with np.errstate(all="ignore"):
-            u = -(c / q) * np.power(pts, q) + t
-            zz = np.power(-q * u / c, 1.0 / q)
-            return ff.phi.eval_array(zz), 0
     else:
-        zz = gpair.Phi(gpair.Psi(pts) + t, seed=_flow_seed(ff.phi, pts, -t))
-        f = ff.phi.eval_array
+        zz, f = _generator_flow(ff, pts, -t), ff.phi.eval_array
     ok = ~np.isnan(zz)
     out = np.full(pts.shape, complex("nan"))
     out[ok] = f(zz[ok])
@@ -377,7 +337,7 @@ class KernelSlice:
     bad: np.ndarray
 
 
-def _flow_grid_fn(ff: FlowField, t: float, shift: float = 0.0):
+def _flow_grid_fn(ff: FlowField, t: float, shift: float):
     def g(zetas):
         zetas = np.asarray(zetas, dtype=complex)
         vals = flow_conformal(ff, zetas, t)
@@ -388,12 +348,7 @@ def _flow_grid_fn(ff: FlowField, t: float, shift: float = 0.0):
 def marginal_law(ff: FlowField, t: float, x_grid,
                  *, eps: float = 1e-3) -> KernelSlice:
     """Law of the flow at time t started from the point mass at 0."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t)),
-                             np.asarray(x_grid, float), eps)
-    return KernelSlice(t, 0.0, table.grid, table.density, table.mass_deficit,
-                       table.bad)
+    return transition_kernel(ff, t, 0.0, x_grid, eps=eps)
 
 
 def transition_kernel(ff: FlowField, t: float, x: float, u_grid,

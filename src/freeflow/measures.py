@@ -201,7 +201,10 @@ class Measure:
         return total
 
     def total_mass(self, *, abs_tol: float = DEFAULT_ABS_TOL) -> float:
-        val = self.integrate(lambda u: np.ones_like(u), abs_tol=abs_tol)
+        # int rho = (pi/2) half b_0: only U_0 has a nonzero weighted mean
+        val = self.integrate(
+            lambda u: np.ones_like(u), abs_tol=abs_tol,
+            closed=("b", lambda e, b: 0.25 * math.pi * (e.hi - e.lo) * b[0]))
         return float(np.real(val))
 
     def moment(self, k: int, positive_part_only: bool = False,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from freeflow import conformal, quadrature
+from freeflow import conformal, levyflow, quadrature
 from freeflow.conformal import ConformalPair
 from freeflow.errors import (DomainError, NotContaining, NotNevanlinna,
                              OutsideImage)
@@ -114,6 +114,21 @@ def _route(ff):
 def test_wrapped_form_takes_the_bare_route(form, wrap):
     assert _route(FlowField.from_generator(wrap(form))) == \
         _route(FlowField.from_generator(form))
+
+
+def test_r_over_z_is_a_power_field():
+    # phi = 2/z: F_t = sqrt(z^2 - 4t), the power flow with (2, -1)
+    ff = FlowField.from_generator(RationalNevanlinna(0.0, 0.0, (0.0,), (2.0,)))
+    assert ff.kind == "power"
+    zs = np.array([0.3 + 1j, -2 + 0.5j, 1 + 2j, 4 + 0.2j])
+    for t in (0.5, 1.0):
+        assert np.max(np.abs(flow_conformal(ff, zs, t) - flow_ode(ff, zs, t))
+                      ) <= 1e-6
+    verdict = fal2_check(ff)
+    assert verdict.failed
+    z, t = verdict.witness, verdict.t
+    # the continuation phi o F_t^(-1) = 2/sqrt(z^2 + 4t) leaves C-
+    assert (2.0 / np.sqrt(z * z + 4.0 * t)).imag > 1e-8
 
 
 def test_from_generator_rejects_bad_phi():
@@ -342,9 +357,9 @@ def test_blackbox_flow_keeps_array_shape():
 
 
 def test_blackbox_fal2_keeps_off_the_dogleg(monkeypatch):
-    # seeded by coarse flow steps from each point, the falsifier's 224
-    # inversions stay off the dogleg (none measured); seeding each point
-    # from the previous preimage sent 5 there
+    # seeded by an RKF45 lane of the flow from each point, the falsifier's
+    # 224 inversions stay off the dogleg; seeding each point from the
+    # previous preimage sent 5 there
     lanes = [0]
     walk = ConformalPair._phi_continuation
 
@@ -356,7 +371,7 @@ def test_blackbox_fal2_keeps_off_the_dogleg(monkeypatch):
     verdict = fal2_check(TWO_POLES, (0.1, 5.0),
                          grid=halfplane_grid(n_r=8, n_theta=8))
     assert verdict.passed
-    assert lanes[0] < 5
+    assert lanes[0] == 0
 
 
 # -- the two halves of the parametrisation ---------------------------------------
@@ -387,6 +402,44 @@ def test_converse_factorisation_matches_psi_route():
             assert verdict.detail[key]["inversionFailures"] == 0
             assert verdict.detail[key]["maxIm"] == pytest.approx(
                 entry["maxIm"], abs=1e-9)
+
+
+def test_converse_check_reports_points_outside_the_image(monkeypatch):
+    # on the whole grid the generator route meets points outside F_t(C+):
+    # their backward flow reaches the axis before time t, so they count as
+    # inversion failures without a Newton solve or a dogleg walk
+    direct = build_fal2(RationalNevanlinna(-1.0, 0.0, (0.0,), (1.0,)))
+    converse = FlowField.from_generator(AnalyticFn(direct.phi.eval_array))
+    walked = [0]
+    walk = ConformalPair._phi_continuation
+
+    def counting(self, w):
+        if self is converse.gen_pair:
+            walked[0] += w.size
+        return walk(self, w)
+
+    proxies = {}
+    proxy_values = levyflow._proxy_values
+
+    def recording(ff, pts, t, pre=None):
+        proxies[t] = proxy_values(ff, pts, t, pre)
+        return proxies[t]
+
+    monkeypatch.setattr(ConformalPair, "_phi_continuation", counting)
+    monkeypatch.setattr(levyflow, "_proxy_values", recording)
+    grid = halfplane_grid(n_r=6, n_theta=6)
+    verdict = fal2_check(converse, grid=grid)
+    pre = direct.pair.Phi(grid)
+    for t in DEFAULT_T_SAMPLES:
+        # the psi route reads the continuation psi(Phi(z) - t) everywhere
+        outside = direct.pair.Psi(pre - t).imag <= 0
+        vals, failures = proxies[t]
+        assert failures == verdict.detail[f"t={t:g}"]["inversionFailures"]
+        assert failures == np.count_nonzero(outside)
+        assert np.array_equal(np.isnan(vals), outside)
+        assert np.max(np.abs(vals[~outside]
+                             - direct.pair.psi(pre[~outside] - t))) <= 1e-8
+    assert walked[0] == 0
 
 
 # -- FAL2 verdicts ------------------------------------------------------------------

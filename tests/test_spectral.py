@@ -214,3 +214,13 @@ def test_far_piece_takes_the_closed_form_for_g(panels):
     # psi integrates (1 + u^2) rho, whose bound keeps the adaptive rule
     NevanlinnaSpec(-0.5, 0.2, far).eval_grid(zs[:4] + 1.0j)
     assert panels[0] > 0
+
+
+def test_mass_check_takes_the_closed_form(panels):
+    # the mass of a resolved piece is (pi/2) half b_0, so CauchySampler's
+    # probability check runs no quadrature, near the origin or far off
+    for law in (semicircle_measure(1.0),
+                Measure(pieces=(shifted_semicircle(1.0, 100.0),))):
+        CauchySampler(law)
+        assert panels[0] == 0
+        assert abs(law.total_mass() - 1.0) <= 1e-14
