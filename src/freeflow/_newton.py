@@ -54,15 +54,16 @@ def _iterate(residual, derivative, w, tol, max_iter):
     """Run every lane of w in place; returns the converged mask.
 
     Active lanes are kept compacted: `lanes` indexes w, and z, f, af
-    (= |f|) and t hold their iterates, residuals and tolerances.
+    (= |f|) and t hold their iterates, residuals and tolerances.  The
+    arrays are compacted only when a lane retires, converged or failed.
     """
     lanes = np.arange(w.size)
     f = _probe(residual, w, lanes)
-    af, t = np.abs(f), tol
+    af, t, z = np.abs(f), tol, w
     done = af <= t
     keep = (af < _HUGE) & ~done
-    lanes, f, af, t = lanes[keep], f[keep], af[keep], t[keep]
-    z = w[lanes]
+    if not keep.all():
+        lanes, z, f, af, t = lanes[keep], z[keep], f[keep], af[keep], t[keep]
     for _ in range(max_iter):
         if not lanes.size:
             break
@@ -71,27 +72,47 @@ def _iterate(residual, derivative, w, tol, max_iter):
         except QuadratureFailure:
             d = np.full(lanes.size, complex("nan"))
         dw = f / d
-        pending = np.flatnonzero((d != 0) & (np.abs(d) < _HUGE))
-        keep = np.zeros(lanes.size, dtype=bool)
-        keep[pending] = True
+        usable = (d != 0) & (np.abs(d) < _HUGE)
+        if not usable.all():  # these lanes fail without a probe
+            w[lanes] = z
+            lanes, z, f, af, t, dw = (lanes[usable], z[usable], f[usable],
+                                      af[usable], t[usable], dw[usable])
+        # the full step, over every lane
         step = 1.0
-        for _ in range(MAX_DAMP):
-            cand = z[pending] - step * dw[pending]
-            fc = _probe(residual, cand, lanes[pending])
-            afc = np.abs(fc)
-            accept = (afc < _HUGE) & ((afc < af[pending])
-                                      | (afc <= t[pending]))
-            took = pending[accept]
-            z[took], f[took], af[took] = cand[accept], fc[accept], afc[accept]
-            pending = pending[~accept]
-            if not pending.size:
-                break
-            step *= DAMPING
-        keep[pending] = False
-        w[lanes] = z
-        done[lanes[af <= t]] = True
-        keep &= af > t
-        lanes, z, f, af, t = lanes[keep], z[keep], f[keep], af[keep], t[keep]
+        cand = z - step * dw
+        fc = _probe(residual, cand, lanes)
+        afc = np.abs(fc)
+        accept = (afc < _HUGE) & ((afc < af) | (afc <= t))
+        pending = np.flatnonzero(~accept)
+        if not pending.size:
+            z, f, af = cand, fc, afc
+        else:
+            z, f, af = (np.where(accept, cand, z), np.where(accept, fc, f),
+                        np.where(accept, afc, af))
+            # damped steps, over the lanes whose full step was refused
+            for _ in range(MAX_DAMP - 1):
+                step *= DAMPING
+                cand = z[pending] - step * dw[pending]
+                fc = _probe(residual, cand, lanes[pending])
+                afc = np.abs(fc)
+                accept = (afc < _HUGE) & ((afc < af[pending])
+                                          | (afc <= t[pending]))
+                took = pending[accept]
+                z[took], f[took], af[took] = (cand[accept], fc[accept],
+                                              afc[accept])
+                pending = pending[~accept]
+                if not pending.size:
+                    break
+        # lanes still pending are out of damping and fail
+        converged = af <= t
+        if pending.size or converged.any():
+            w[lanes] = z
+            done[lanes[converged]] = True
+            keep = ~converged
+            keep[pending] = False
+            lanes, z, f, af, t = (lanes[keep], z[keep], f[keep], af[keep],
+                                  t[keep])
+    w[lanes] = z
     return done
 
 
@@ -99,8 +120,13 @@ def _probe(residual, cand, lanes):
     """Residuals at candidate points; NaN outside C+ or where evaluation
     fails (e.g. grazing the cut), which damps like an overshoot instead of
     aborting the solve."""
-    fc = np.full(cand.size, complex("nan"))
     inside = cand.imag > 0
+    if inside.all():
+        try:
+            return np.asarray(residual(cand, lanes), dtype=complex)
+        except (ArithmeticError, ValueError, QuadratureFailure):
+            return np.full(cand.size, complex("nan"))
+    fc = np.full(cand.size, complex("nan"))
     if inside.any():
         try:
             fc[inside] = residual(cand[inside], lanes[inside])

@@ -2,9 +2,9 @@
 
 G(zeta) = int (zeta - u)^(-1) dmu, F = 1/G, and the Voiculescu transform
 phi(z) = F^(-1)(z) - z which linearises free additive convolution.  The
-functional inversions are damped Newton iterations confined to C+, seeded at
-the asymptote F(w) ~ w; a stalled subordination solve is reseeded by
-fixed-point iteration.
+functional inversions are damped Newton iterations confined to C+: F^(-1)
+seeded at the asymptote F(w) ~ w, subordination seeded by fixed-point
+iterates and, where that solve fails, restarted from w = zeta.
 """
 from __future__ import annotations
 
@@ -216,10 +216,11 @@ def free_convolve(phi1, phi2) -> AnalyticFn:
 def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
     """Solve w + t phi(w) = zeta for w in C+.
 
-    Every point of zeta is one lane of a single Newton solve from w = zeta.
-    Lanes that stall restart, together, from FIXED_POINT_STEPS iterates of
-    w -> zeta - t phi(w), a map of C+ into {Im w >= Im zeta} that converges
-    from any seed, slowly near R (Belinschi-Bercovici 2007).  A lane that
+    Every lane is seeded by FIXED_POINT_STEPS iterates of
+    w -> zeta - t phi(w) from w = zeta, one array evaluation per step: a
+    map of C+ into {Im w >= Im zeta} that converges from any seed, slowly
+    near R (Belinschi-Bercovici 2007).  One Newton solve runs from there;
+    lanes that fail it restart, together, from w = zeta.  A lane that
     still fails is NaN; a scalar zeta raises NewtonDivergence instead.
     """
     zetas = np.asarray(zeta, dtype=complex)
@@ -239,12 +240,12 @@ def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
             w[lanes], rtol=rtol, scale=np.abs(targets))
 
     if t > 0:
+        for _ in range(FIXED_POINT_STEPS):
+            w = flat - t * fn.eval_array(w)
         solve(np.arange(flat.size))
         stalled = np.flatnonzero(np.isnan(w))
         if stalled.size:
             w[stalled] = flat[stalled]
-            for _ in range(FIXED_POINT_STEPS):
-                w[stalled] = flat[stalled] - t * fn.eval_array(w[stalled])
             solve(stalled)
     if zetas.shape:
         return w.reshape(zetas.shape)

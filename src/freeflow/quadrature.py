@@ -19,6 +19,8 @@ from .errors import QuadratureFailure
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 DEFAULT_ABS_TOL = 1e-10
+# folded tails beyond this distance from the anchor follow their power law
+_FAR = 1e50
 
 
 def _nodes(n: int):
@@ -103,15 +105,29 @@ def _half_line(f, end: float, sign: float, abs_tol: float,
     rest is folded onto (0, 1) via u = end + sign (1 + ((1-s)/s)^gamma).  A
     tail f ~ |u|^-p becomes s^(gamma (p-1) - 1), bounded for gamma = 1/(p-1)
     when 1 < p < 2; otherwise gamma = 1.
+
+    As p -> 1 much of the tail lies beyond the float range (for p = 1.001,
+    half of it past |u| = 1e300) and x = ((1-s)/s)^gamma overflows.  Nodes
+    with x > _FAR evaluate f at x = _FAR instead and scale it by the tail's
+    power law (_FAR / x)^p, which makes the folded integrand the finite
+    f(anchor + sign _FAR) gamma _FAR^p / (1-s)^2.
     """
     anchor = end + sign
     p = tail_exponent
-    gamma = 1.0 / (p - 1.0) if p is not None and 1.0 < p < 2.0 else 1.0
+    heavy = p is not None and 1.0 < p < 2.0
+    gamma = 1.0 / (p - 1.0) if heavy else 1.0
 
     def g(s):
         r = (1.0 - s) / s
-        return (np.asarray(f(anchor + sign * r ** gamma))
-                * (gamma * r ** (gamma - 1.0)) / s ** 2)
+        with np.errstate(over="ignore"):
+            x = r ** gamma
+            jac = gamma * r ** (gamma - 1.0)
+        if heavy:
+            far = x > _FAR
+            if far.any():
+                x = np.where(far, _FAR, x)
+                jac = np.where(far, gamma * _FAR ** p / r ** 2, jac)
+        return np.asarray(f(anchor + sign * x)) * jac / s ** 2
 
     lo, hi = sorted((end, anchor))
     return (adaptive_quad(f, lo, hi, abs_tol=abs_tol / 2, **kw)

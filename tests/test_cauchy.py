@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freeflow import cauchy
 from freeflow.cauchy import (CauchySampler, DensityTable, InversionDomain,
                              estimate_inversion_domain, free_convolve,
                              reconstruct_cauchy, semigroup_marginal,
@@ -223,8 +224,8 @@ def test_flow_consistency_splits():
 
 
 def test_subordinate_over_array_matches_scalar_calls():
-    # 1/z + (-i) stalls near the origin, so some lanes take the fixed-point
-    # restart
+    # 1/z + (-i): Newton from w = zeta stalls near the origin, where these
+    # lanes converge from the fixed-point seed
     phi = free_convolve(
         AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
         const_fn(-1j))
@@ -254,6 +255,53 @@ def test_subordination_semicircle_plus_cauchy_near_origin():
     assert np.max(np.abs(dens + g_sc.imag / math.pi)) <= 1e-6
     w = subordinate(phi, 0.1 + 1j * eps, 1.0)
     assert abs(w + 1.0 / w - 1j - (0.1 + 1j * eps)) <= 1e-10
+
+
+def test_subordination_restart_keeps_the_two_pole_lanes():
+    # phi = (1/2)/(z+1) + (1/2)/(z-1) just above the axis: the lanes that
+    # fail from the fixed-point seed restart from w = zeta, which leaves
+    # 34 NaN lanes where the fixed-point seed alone leaves 48
+    def phi_eval(z):
+        z = np.asarray(z, complex)
+        return 0.5 / (z + 1.0) + 0.5 / (z - 1.0)
+
+    def phi_diff(z):
+        z = np.asarray(z, complex)
+        return -0.5 / (z + 1.0) ** 2 - 0.5 / (z - 1.0) ** 2
+
+    phi = AnalyticFn(phi_eval, derivative=phi_diff)
+    zetas = np.linspace(-6, 6, 481) + 1e-6j
+    w = subordinate(phi, zetas, 1.0)
+    ok = ~np.isnan(w)
+    assert np.count_nonzero(~ok) <= 34
+    assert np.all(np.abs(w[ok] + phi_eval(w[ok]) - zetas[ok])
+                  <= 1e-10 * np.maximum(1.0, np.abs(zetas[ok])))
+    # restarted or not, a lane is the solve of its own scalar call
+    for i in np.flatnonzero(ok)[::8]:
+        assert subordinate(phi, zetas[i], 1.0) == w[i]
+
+
+def test_conv_subordination_converges_from_the_fixed_point_seed(
+        monkeypatch):
+    # the CLI's conv of the semicircle with Cauchy(1) on its -5:5:201 grid:
+    # from the fixed-point seed one Newton solve converges in a couple of
+    # residual calls, where the solve from w = zeta stalls near the origin
+    # and pays for hundreds of damped probes before its restart
+    calls = [0]
+    real_newton = cauchy.newton_halfplane
+
+    def counting_newton(residual, *args, **kw):
+        def counting_residual(w, lanes):
+            calls[0] += 1
+            return residual(w, lanes)
+        return real_newton(counting_residual, *args, **kw)
+
+    monkeypatch.setattr(cauchy, "newton_halfplane", counting_newton)
+    phi = free_convolve(AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
+                        const_fn(-1j))
+    w = subordinate(phi, np.linspace(-5, 5, 201) + 1e-3j, 1.0)
+    assert not np.any(np.isnan(w))
+    assert calls[0] <= 10
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

@@ -40,6 +40,13 @@ def test_left_tail_rational():
     assert val == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.01, 1.001])
+def test_right_tail_heavy_power(p):
+    # for p = 1.001 half of int_1^inf u^-p du lies past u = 1e300
+    val = quad_right_tail(lambda u: u ** -p, 1.0, tail_exponent=p)
+    assert val == pytest.approx(1.0 / (p - 1.0), rel=1e-12)
+
+
 def test_doubly_infinite():
     val = quad_interval(lambda u: 1.0 / (math.pi * (1.0 + u * u)),
                         -math.inf, math.inf)

@@ -202,7 +202,7 @@ def test_far_piece_takes_the_closed_form_for_g(panels):
     exp = far.pieces[0].expansion
     assert exp.tail > 1e-10 and exp.tail_b <= 1e-11
     zs = np.linspace(97.0, 103.0, 200) + 1e-3j
-    sampler = CauchySampler(far)  # its mass check is a quadrature
+    sampler = CauchySampler(far)
     panels[0] = 0
     g = sampler.eval_array(zs)
     g_prime = sampler.derivative(zs[:20])
