@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -61,14 +62,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """One row per entry of the numeric columns, each value written .12g;
+    a row holding a non-finite value writes it as nan and is flagged."""
+    table = np.asarray(columns, dtype=float).reshape(len(header), -1).T
+    finite = np.isfinite(table)
+    flags = np.where(finite.all(axis=1), "", "nonfinite").tolist()
+    line = ",".join(["{:.12g}"] * len(header)) + ",{}\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["flag"])
-        for row in rows:
-            flag = "" if all(math.isfinite(v) for v in row) else "nonfinite"
-            writer.writerow([_fmt(v) if math.isfinite(v) else "nan"
-                             for v in row] + [flag])
+        fh.write(",".join(header + ["flag"]) + "\r\n")
+        fh.writelines(line.format(*row, flag) for row, flag in
+                      zip(np.where(finite, table, np.nan).tolist(), flags))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -138,8 +142,7 @@ def _cmd_nev_recover(args) -> int:
     u_grid = _parse_grid(args.grid) if args.grid else None
     rec = recover_parameters(fn, u_grid=u_grid, eps=args.eps)
     table_path = args.out + ".density.csv"
-    rows = [(float(u), float(d)) for u, d in zip(rec.grid, rec.density)]
-    _write_csv(table_path, ["u", "density"], rows)
+    _write_csv(table_path, ["u", "density"], [rec.grid, rec.density])
     _write_json(args.out, {
         "alpha": rec.alpha, "beta": rec.beta, "mass": rec.mass,
         "impliedMass": rec.implied_mass, "massDeficit": rec.mass_deficit,
@@ -161,8 +164,7 @@ def _cmd_density(args) -> int:
 
     g = AnalyticFn(lambda zetas: semigroup_marginal(phi, t, zetas))
     table = stieltjes_invert(g, _parse_grid(args.grid), args.eps)
-    _write_csv(args.out, ["x", "density"], [
-        (float(x), float(d)) for x, d in zip(table.grid, table.density)])
+    _write_csv(args.out, ["x", "density"], [table.grid, table.density])
     try:
         dom = estimate_inversion_domain(phi, probe="subordination")
         domain = {"gamma": dom.gamma, "lambda": dom.lam}
@@ -184,10 +186,10 @@ def _cmd_conformal_image(args) -> int:
         # the slit description assumes a < 0; only the boundary trace is
         # emitted for a = 0
         slits = []
-    _write_csv(args.out, ["height", "tip"], slits)
+    _write_csv(args.out, ["height", "tip"], np.transpose(slits))
     pair = ConformalPair.from_psi(form)
     delta = 1e-4
-    boundary_rows = []
+    boundary = []
     edges = [-math.inf, *form.poles, math.inf]
     for j in range(len(form.poles) + 1):
         lo = edges[j] if math.isfinite(edges[j]) else edges[j + 1] - args.span
@@ -196,10 +198,9 @@ def _cmd_conformal_image(args) -> int:
             lo, hi = -args.span, args.span
         xs = np.linspace(lo + 1e-3, hi - 1e-3, args.samples)
         vals = np.asarray(pair.Psi(xs + 1j * delta))
-        boundary_rows += [(j, float(x), float(v.real), float(v.imag))
-                          for x, v in zip(xs, vals)]
+        boundary.append([np.full(xs.size, j), xs, vals.real, vals.imag])
     _write_csv(args.out + ".boundary.csv",
-               ["interval", "x", "re_psi", "im_psi"], boundary_rows)
+               ["interval", "x", "re_psi", "im_psi"], np.hstack(boundary))
     _manifest(args, args.out, {"slits": [[q, p] for q, p in slits]})
     return 0
 
@@ -299,16 +300,16 @@ def _cmd_flow(args) -> int:
     re_grid = _parse_grid(args.grid)
     im_grid = _parse_grid(args.im_grid)
     ts = [float(v) for v in args.t.split(",")]
-    rows = []
-    zs = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
-    for t in ts:
-        if args.route == "ode":
-            vals = flow_ode(ff, zs, t)
-        else:
-            vals = np.asarray(flow_conformal(ff, zs, t))
-        rows += [(float(z.real), float(z.imag), float(w.real), float(w.imag),
-                  t) for z, w in zip(zs, vals)]
-    _write_csv(args.out, ["re_in", "im_in", "re_out", "im_out", "t"], rows)
+    grid = (re_grid[:, None] + 1j * im_grid[None, :]).ravel()
+    # the rows run over the grid once per t
+    zs, t_col = np.tile(grid, len(ts)), np.repeat(ts, grid.size)
+    if args.route == "ode":
+        vals = flow_ode(ff, zs, t_col)
+    else:
+        vals = np.concatenate([np.asarray(flow_conformal(ff, grid, t))
+                               for t in ts])
+    _write_csv(args.out, ["re_in", "im_in", "re_out", "im_out", "t"],
+               [zs.real, zs.imag, vals.real, vals.imag, t_col])
     _manifest(args, args.out, {"route": args.route, "t": ts})
     return 0
 
@@ -317,8 +318,7 @@ def _cmd_kernel(args) -> int:
     ff = _generator_field(args)
     grid = _parse_grid(args.grid)
     ks = transition_kernel(ff, args.t, args.x, grid, eps=args.eps)
-    _write_csv(args.out, ["u", "density"],
-               [(float(u), float(d)) for u, d in zip(ks.grid, ks.density)])
+    _write_csv(args.out, ["u", "density"], [ks.grid, ks.density])
     _manifest(args, args.out, {"massDeficit": ks.mass_deficit, "t": args.t,
                                "x": args.x})
     return 0
@@ -328,8 +328,7 @@ def _cmd_marginal(args) -> int:
     ff = _generator_field(args)
     grid = _parse_grid(args.grid)
     ks = marginal_law(ff, args.t, grid, eps=args.eps)
-    _write_csv(args.out, ["u", "density"],
-               [(float(u), float(d)) for u, d in zip(ks.grid, ks.density)])
+    _write_csv(args.out, ["u", "density"], [ks.grid, ks.density])
     _manifest(args, args.out, {"massDeficit": ks.mass_deficit, "t": args.t})
     return 0
 
@@ -354,7 +353,9 @@ def _cmd_increment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="freeflow",
         description="free additive convolution and free Levy flow engine")

@@ -230,21 +230,23 @@ def flow_inverse(ff: FlowField, z, t: float):
     return flow_conformal(ff, z, -t)
 
 
-def flow_ode(ff: FlowField, z, t: float):
+def flow_ode(ff: FlowField, z, t):
     """F_t by adaptive integration of F' = -phi(F), staying in C+.
 
-    One integration lane per point of z (see integrate_halfplane); raises
-    StepUnderflow if any lane fails, naming the first failed point.
+    One integration lane per point of z (see integrate_halfplane); t is a
+    scalar or an array of per-lane times that broadcasts to z's shape.
+    Raises StepUnderflow if any lane fails, naming the first failed point.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise DomainError("flow_ode integrates forward time only")
     phi = ff.phi
     out = integrate_halfplane(lambda y: -phi.eval_array(y), z, t)
-    bad = np.isnan(out)
-    if np.any(bad):
-        raise StepUnderflow(f"integration from {np.asarray(z)[bad].flat[0]} "
-                            f"over t = {t:g} failed; the flow leaves C+ or "
-                            f"the step budget ran out")
+    bad = np.flatnonzero(np.isnan(out))
+    if bad.size:
+        t_bad = np.broadcast_to(t, np.shape(out)).flat[bad[0]]
+        raise StepUnderflow(f"integration from {np.asarray(z).flat[bad[0]]} "
+                            f"over t = {t_bad:g} failed; the flow leaves C+ "
+                            f"or the step budget ran out")
     return out
 
 

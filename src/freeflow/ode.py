@@ -40,63 +40,63 @@ class OdeConfig:
     max_steps: int = 200000
 
 
-def integrate_halfplane(rhs, y0, t_end: float,
-                        config: OdeConfig = OdeConfig()):
+def integrate_halfplane(rhs, y0, t_end, config: OdeConfig = OdeConfig()):
     """Integrate y' = rhs(y) from 0 to t_end >= 0 with y confined to C+.
 
     `y0` is a complex scalar or array, one lane per point, and `rhs` maps
-    an array of points to an array of the same size.  Failed lanes are NaN;
-    a scalar y0 returns a complex, or raises StepUnderflow if its lane
-    fails.  Every start must lie in C+ (DomainError otherwise), and
-    t_end = 0 returns a copy of the input.
+    an array of points to an array of the same size.  `t_end` is a scalar
+    or an array that broadcasts to y0's shape, one end time per lane; a
+    lane ends where its own scalar call would.  Failed lanes are NaN; a
+    scalar y0 returns a complex, or raises StepUnderflow if its lane fails.
+    Every start must lie in C+ and every end time be >= 0 (DomainError
+    otherwise); a lane with end time 0 returns its start.
     """
-    if t_end < 0:
-        raise DomainError("integration time must be nonnegative")
     starts = np.asarray(y0, dtype=complex)
+    ends = np.broadcast_to(np.asarray(t_end, dtype=float), starts.shape)
+    if not np.all(ends >= 0):
+        raise DomainError("integration time must be nonnegative")
     y = starts.ravel().copy()
     if np.any(y.imag <= 0):
         raise DomainError("initial point must lie in the upper half-plane")
-    t = np.full(y.size, float(t_end))
-    if t_end > 0:
-        # a trial step may overflow or leave C+; that rejects it, no more
-        with np.errstate(all="ignore"):
-            done = _march(rhs, y, t, float(t_end), config)
-    else:
-        done = np.ones(y.size, dtype=bool)
+    t = ends.ravel().copy()
+    # a trial step may overflow or leave C+; that rejects it, no more
+    with np.errstate(all="ignore"):
+        done = _march(rhs, y, t, ends.ravel(), config)
     if starts.shape:
         return np.where(done, y, complex("nan")).reshape(starts.shape)
     if not done[0]:
         raise StepUnderflow(
             f"integration from {complex(starts)} stopped at t = {t[0]:.6g} "
-            f"of {t_end:.6g}, y = {complex(y[0])}: step below "
+            f"of {float(ends):.6g}, y = {complex(y[0])}: step below "
             f"{config.min_step:g} or {config.max_steps} attempts used")
     return complex(y[0])
 
 
-def _march(rhs, y, t_out, t_end, cfg):
-    """Run every lane of y to t_end in place; returns the finished mask.
+def _march(rhs, y, t_out, end, cfg):
+    """Run every lane of y to its end time in place; returns the finished mask.
 
-    Live lanes are kept compacted: `lanes` indexes y, and z, t and h hold
-    their points, times and next steps.  Every live lane makes one attempt
-    per pass, so the pass count is each lane's attempt count.  A lane that
-    stops writes its point to y and its time to t_out.
+    Live lanes are kept compacted: `lanes` indexes y, and z, t, h and end
+    hold their points, times, next steps and end times.  Every live lane
+    makes one attempt per pass, so the pass count is each lane's attempt
+    count.  A lane that stops writes its point to y and its time to t_out.
     """
     lanes = np.arange(y.size)
     z = y.copy()
     t = np.zeros(y.size)
-    h = np.full(y.size, min(0.01, t_end))
+    h = np.full(y.size, 0.01)  # clipped to each end on the first pass
     done = np.zeros(y.size, dtype=bool)
     for attempt in range(cfg.max_steps + 1):
-        # retire lanes that reached t_end or whose step fell below min_step;
-        # the extra pass retires the lanes that finished on their last try
-        finished = t >= t_end
-        h = np.minimum(h, t_end - t)
+        # retire lanes that reached their end or whose step fell below
+        # min_step; the extra pass retires the lanes that finished on their
+        # last try
+        finished = t >= end
+        h = np.minimum(h, end - t)
         stop = finished | (h < cfg.min_step)
         if stop.any():
             y[lanes[stop]], t_out[lanes[stop]] = z[stop], t[stop]
             done[lanes[finished]] = True
             go = ~stop
-            lanes, z, t, h = lanes[go], z[go], t[go], h[go]
+            lanes, z, t, h, end = lanes[go], z[go], t[go], h[go], end[go]
         if not lanes.size or attempt == cfg.max_steps:
             break
         k = np.empty((6, z.size), dtype=complex)

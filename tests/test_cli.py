@@ -7,6 +7,7 @@ import pytest
 
 from freeflow import cli, levyflow
 from freeflow.cli import main
+from freeflow.nevanlinna import parse_named_form
 
 RATIONAL_LOG = "rational(a=-1,b=0,poles=[0],residues=[1])"
 SEMICIRCLE_PHI = "rational(a=0,b=0,poles=[0],residues=[1])"
@@ -157,9 +158,9 @@ def test_flow_snapshots(tmp_path, route):
 
 
 def test_flow_ode_work_budget(tmp_path, monkeypatch):
-    # the benchmark's `flow --route ode` command: one integration per t over
-    # the whole 20 x 10 grid, so the generator sees a few hundred array
-    # calls, not one call per stage of every point's every step
+    # the benchmark's `flow --route ode` command: one integration over every
+    # (point, t) pair of the 20 x 10 grid and the three times, so the
+    # generator sees a few hundred array calls, not one per t per stage
     integrations, evals = [0], [0]
     real_integrate = levyflow.integrate_halfplane
     real_field = cli._generator_field
@@ -185,8 +186,65 @@ def test_flow_ode_work_budget(tmp_path, monkeypatch):
                  "--t", "0.25,1.0,2.0", "--grid=-3:3:20",
                  "--im-grid", "0.1:3:10", "--out", str(out)]) == 0
     assert len(read_csv(out)) == 600
-    assert integrations[0] == 3
-    assert 0 < evals[0] < 1000
+    assert integrations[0] == 1
+    assert 0 < evals[0] < 300
+
+
+def old_write_csv(path, header, rows):
+    """The row-at-a-time writer that the column writer replaced, kept as
+    the byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["flag"])
+        for row in rows:
+            flag = "" if all(math.isfinite(v) for v in row) else "nonfinite"
+            writer.writerow([f"{v:.12g}" if math.isfinite(v) else "nan"
+                             for v in row] + [flag])
+
+
+def test_column_writer_matches_the_row_writer_byte_for_byte(tmp_path):
+    rows = [(0, 1.5, -2), (math.nan, 1.0, 2.0), (math.inf, -0.0, 3),
+            (1.0, -math.inf, 4), (-0.0, 1e-300, 1e300),
+            (123456789012345, 1 / 3, -7), (2.5e-7, -1e17, 0.1)]
+    header = ["a", "b", "c"]
+    for table in (rows, []):
+        ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+        old_write_csv(ref, header, table)
+        cli._write_csv(str(got), header, np.transpose(table))
+        assert got.read_bytes() == ref.read_bytes()
+
+
+def test_flow_ode_matches_one_call_per_t(tmp_path):
+    ts = [0.25, 1.0, 2.0]
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--psi", "negPow(1)", "--route", "ode",
+                 "--t", "0.25,1,2", "--grid=-3:3:20", "--im-grid", "0.1:3:10",
+                 "--out", str(out)]) == 0
+    ff = levyflow.build_fal2(parse_named_form("negPow(1)"))
+    zs = (np.linspace(-3, 3, 20)[:, None]
+          + 1j * np.linspace(0.1, 3, 10)[None, :]).ravel()
+    rows = []
+    for t in ts:
+        vals = levyflow.flow_ode(ff, zs, t)
+        rows += [(z.real, z.imag, w.real, w.imag, t) for z, w in zip(zs, vals)]
+    ref = tmp_path / "ref.csv"
+    old_write_csv(ref, ["re_in", "im_in", "re_out", "im_out", "t"], rows)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_one_parser_keeps_no_state_between_calls(tmp_path):
+    flow = ["flow", "--psi", "negPow(1)", "--t", "0.5,1", "--grid=-2:2:5",
+            "--im-grid", "0.2:2:5"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(flow + ["--out", str(a)]) == 0
+    assert main(["semigroup", "--phi", SEMICIRCLE_PHI, "--t", "2",
+                 "--grid=-3:3:31", "--out", str(tmp_path / "sg.csv")]) == 0
+    assert main(flow + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.csv.manifest.json").read_bytes() == \
+        (tmp_path / "b.csv.manifest.json").read_bytes()
+    assert main(flow + ["--no-such-flag", "--out", str(b)]) == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_increment_json(tmp_path):

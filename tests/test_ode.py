@@ -120,6 +120,58 @@ def test_t_zero_returns_a_copy_of_the_array():
     assert starts[0, 0] == 0.3 + 0.4j
 
 
+# -- per-lane end times ---------------------------------------------------------
+
+ENDS = RNG.uniform(0.0, 2.0, STARTS.size)
+
+
+@pytest.mark.parametrize("make_rhs", [lambda: recip, negpow1_rhs])
+def test_lane_with_its_own_end_equals_its_scalar_call(make_rhs):
+    rhs = make_rhs()
+    lanes = integrate_halfplane(rhs, STARTS, ENDS)
+    for i in (0, 7, 23, 39):
+        assert lanes[i] == integrate_halfplane(rhs, STARTS[i], ENDS[i])
+
+
+@pytest.mark.parametrize("make_rhs", [lambda: recip, negpow1_rhs])
+def test_shuffled_start_end_pairs_shuffle_the_result(make_rhs):
+    rhs = make_rhs()
+    perm = RNG.permutation(STARTS.size)
+    forward = integrate_halfplane(rhs, STARTS, ENDS)
+    shuffled = integrate_halfplane(rhs, STARTS[perm], ENDS[perm])
+    assert not np.any(np.isnan(forward))
+    assert np.array_equal(forward[perm], shuffled)
+
+
+def test_end_zero_lanes_return_their_start():
+    ends = ENDS.copy()
+    ends[::3] = 0.0
+    got = integrate_halfplane(recip, STARTS, ends)
+    assert np.array_equal(got[::3], STARTS[::3])
+    keep = ends > 0
+    assert np.array_equal(got[keep],
+                          integrate_halfplane(recip, STARTS[keep], ends[keep]))
+
+
+def test_negative_end_time_rejected():
+    ends = ENDS.copy()
+    ends[5] = -1e-9
+    with pytest.raises(DomainError):
+        integrate_halfplane(recip, STARTS, ends)
+
+
+def test_crossing_lane_is_nan_beside_lanes_with_other_end_times():
+    # y' = -i from 0.5i reaches the axis at t = 0.5; the others stop earlier
+    # or later, each at its own end
+    starts = np.array([1 + 2j, 0.5j, -1 + 1.5j, 3j])
+    ends = np.array([0.25, 1.0, 1.4, 2.0])
+    got = integrate_halfplane(lambda y: -1j, starts, ends)
+    assert np.isnan(got[1])
+    for i in (0, 2, 3):
+        assert got[i] == integrate_halfplane(lambda y: -1j, starts[i], ends[i])
+        assert got[i] == pytest.approx(starts[i] - 1j * ends[i], abs=1e-12)
+
+
 def scalar_rkf45(rhs, y, t_end, config=OdeConfig()):
     """The point-by-point integrator that the lanes replaced: the same
     rules in Python complex arithmetic, kept as the reference."""
