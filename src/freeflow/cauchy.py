@@ -4,7 +4,7 @@ G(zeta) = int (zeta - u)^(-1) dmu, F = 1/G, and the Voiculescu transform
 phi(z) = F^(-1)(z) - z which linearises free additive convolution.  The
 functional inversions are damped Newton iterations confined to C+: F^(-1)
 seeded at the asymptote F(w) ~ w, subordination seeded by fixed-point
-iterates and, where that solve fails, restarted from w = zeta.
+iterates whose target descends to zeta from zeta + i.
 """
 from __future__ import annotations
 
@@ -217,11 +217,14 @@ def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
     """Solve w + t phi(w) = zeta for w in C+.
 
     Every lane is seeded by FIXED_POINT_STEPS iterates of
-    w -> zeta - t phi(w) from w = zeta, one array evaluation per step: a
-    map of C+ into {Im w >= Im zeta} that converges from any seed, slowly
-    near R (Belinschi-Bercovici 2007).  One Newton solve runs from there;
-    lanes that fail it restart, together, from w = zeta.  A lane that
-    still fails is NaN; a scalar zeta raises NewtonDivergence instead.
+    w -> zeta + i 2^-k - t phi(w) from w = zeta + i, one array evaluation
+    of phi per step k.  Im phi <= 0 on C+, so step k maps C+ into
+    {Im w >= Im zeta + 2^-k}.  The map at zeta contracts slowly near R
+    (Belinschi-Bercovici 2007); a target that descends to zeta from one
+    height up brings the lane close to the root first.  The same bound
+    makes the root in C+ the map's one fixed point, so it does not depend
+    on the seed.  One Newton solve runs from there; a lane that fails it
+    is NaN, and a scalar zeta raises NewtonDivergence instead.
     """
     zetas = np.asarray(zeta, dtype=complex)
     if np.any(zetas.imag <= 0):
@@ -231,22 +234,14 @@ def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
     fn = to_analytic(phi)
     flat = zetas.ravel()
     w = flat.copy()
-
-    def solve(lanes):
-        targets = flat[lanes]
-        w[lanes] = newton_halfplane(
-            lambda v, k: v + t * fn.eval_array(v) - targets[k],
-            lambda v: 1.0 + t * fn.diff(v),
-            w[lanes], rtol=rtol, scale=np.abs(targets))
-
     if t > 0:
-        for _ in range(FIXED_POINT_STEPS):
-            w = flat - t * fn.eval_array(w)
-        solve(np.arange(flat.size))
-        stalled = np.flatnonzero(np.isnan(w))
-        if stalled.size:
-            w[stalled] = flat[stalled]
-            solve(stalled)
+        w += 1j
+        for k in range(FIXED_POINT_STEPS):
+            w = flat + 1j * 0.5 ** k - t * fn.eval_array(w)
+        w = newton_halfplane(
+            lambda v, lanes: v + t * fn.eval_array(v) - flat[lanes],
+            lambda v: 1.0 + t * fn.diff(v),
+            w, rtol=rtol, scale=np.abs(flat))
     if zetas.shape:
         return w.reshape(zetas.shape)
     if np.isnan(w[0]):

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeflow import cauchy
 from freeflow.cauchy import (CauchySampler, DensityTable, InversionDomain,
@@ -11,7 +14,8 @@ from freeflow.cauchy import (CauchySampler, DensityTable, InversionDomain,
                              voiculescu_transform)
 from freeflow.errors import DomainError, OutsideInversionDomain
 from freeflow.measures import atomic, cauchy_law, dirac, semicircle_measure
-from freeflow.nevanlinna import AnalyticFn, const_fn
+from freeflow.nevanlinna import (AnalyticFn, RationalNevanlinna, const_fn,
+                                 to_analytic)
 
 RNG = np.random.default_rng(42)
 
@@ -225,7 +229,7 @@ def test_flow_consistency_splits():
 
 def test_subordinate_over_array_matches_scalar_calls():
     # 1/z + (-i): Newton from w = zeta stalls near the origin, where these
-    # lanes converge from the fixed-point seed
+    # lanes converge from the descending fixed-point targets
     phi = free_convolve(
         AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
         const_fn(-1j))
@@ -257,10 +261,10 @@ def test_subordination_semicircle_plus_cauchy_near_origin():
     assert abs(w + 1.0 / w - 1j - (0.1 + 1j * eps)) <= 1e-10
 
 
-def test_subordination_restart_keeps_the_two_pole_lanes():
-    # phi = (1/2)/(z+1) + (1/2)/(z-1) just above the axis: the lanes that
-    # fail from the fixed-point seed restart from w = zeta, which leaves
-    # 34 NaN lanes where the fixed-point seed alone leaves 48
+def test_subordination_solves_every_two_pole_lane():
+    # phi = (1/2)/(z+1) + (1/2)/(z-1) just above the axis, where the
+    # fixed-point map at zeta barely contracts: from the descending
+    # targets every lane reaches the root of w^3 - zeta w^2 + zeta in C+
     def phi_eval(z):
         z = np.asarray(z, complex)
         return 0.5 / (z + 1.0) + 0.5 / (z - 1.0)
@@ -270,23 +274,27 @@ def test_subordination_restart_keeps_the_two_pole_lanes():
         return -0.5 / (z + 1.0) ** 2 - 0.5 / (z - 1.0) ** 2
 
     phi = AnalyticFn(phi_eval, derivative=phi_diff)
-    zetas = np.linspace(-6, 6, 481) + 1e-6j
-    w = subordinate(phi, zetas, 1.0)
-    ok = ~np.isnan(w)
-    assert np.count_nonzero(~ok) <= 34
-    assert np.all(np.abs(w[ok] + phi_eval(w[ok]) - zetas[ok])
-                  <= 1e-10 * np.maximum(1.0, np.abs(zetas[ok])))
-    # restarted or not, a lane is the solve of its own scalar call
-    for i in np.flatnonzero(ok)[::8]:
-        assert subordinate(phi, zetas[i], 1.0) == w[i]
+    for eps in (1e-6, 1e-9):
+        zetas = np.linspace(-6, 6, 481) + 1j * eps
+        w = subordinate(phi, zetas, 1.0)
+        assert not np.any(np.isnan(w))
+        scale = np.maximum(1.0, np.abs(zetas))
+        assert np.all(np.abs(w + phi_eval(w) - zetas) <= 1e-10 * scale)
+        roots = [np.roots([1.0, -z, 0.0, z]) for z in zetas]
+        exact = np.array([r[np.argmax(r.imag)] for r in roots])
+        assert np.all(np.abs(w - exact) * np.abs(1.0 + phi_diff(w))
+                      <= 1e-11 * scale)
+        # a lane is the solve of its own scalar call
+        for i in range(0, zetas.size, 8):
+            assert subordinate(phi, zetas[i], 1.0) == w[i]
 
 
 def test_conv_subordination_converges_from_the_fixed_point_seed(
         monkeypatch):
     # the CLI's conv of the semicircle with Cauchy(1) on its -5:5:201 grid:
     # from the fixed-point seed one Newton solve converges in a couple of
-    # residual calls, where the solve from w = zeta stalls near the origin
-    # and pays for hundreds of damped probes before its restart
+    # residual calls, where a solve from w = zeta stalls near the origin
+    # and pays for hundreds of damped probes
     calls = [0]
     real_newton = cauchy.newton_halfplane
 
@@ -302,6 +310,74 @@ def test_conv_subordination_converges_from_the_fixed_point_seed(
     w = subordinate(phi, np.linspace(-5, 5, 201) + 1e-3j, 1.0)
     assert not np.any(np.isnan(w))
     assert calls[0] <= 10
+
+
+def test_semigroup_subordination_converges_from_the_descending_seed(
+        monkeypatch):
+    # the CLI's semicircle semigroup grids: 201 points on +-2.2 sqrt(t) at
+    # eps and eps/2.  The map at zeta barely contracts there, and a seed
+    # from it alone leaves Newton 29-45 residual calls per solve
+    calls = [0]
+    real_newton = cauchy.newton_halfplane
+
+    def counting_newton(residual, *args, **kw):
+        def counting_residual(w, lanes):
+            calls[0] += 1
+            return residual(w, lanes)
+        return real_newton(counting_residual, *args, **kw)
+
+    monkeypatch.setattr(cauchy, "newton_halfplane", counting_newton)
+    phi = to_analytic(RationalNevanlinna(0.0, 0.0, (0.0,), (1.0,)))
+    for t in (0.5, 1.0, 2.0):
+        lim = 2.2 * math.sqrt(t)
+        for eps in (1e-3, 5e-4):
+            calls[0] = 0
+            w = subordinate(phi, np.linspace(-lim, lim, 201) + 1j * eps, t)
+            assert not np.any(np.isnan(w))
+            assert calls[0] <= 10
+
+
+def _rational_phi_roots(b, poles, residues, t, zeta):
+    """numpy.roots of (w + t phi(w) - zeta) prod (w - p), phi rational."""
+    poly = P.polymul([t * b - zeta, 1.0], P.polyfromroots(poles))
+    for j, r in enumerate(residues):
+        poly = P.polyadd(poly, t * r * P.polyfromroots(np.delete(poles, j)))
+    return np.roots(poly[::-1])
+
+
+@st.composite
+def rational_subordination(draw):
+    n = draw(st.integers(1, 4))
+    # poles at least 0.05 apart, so the polynomial oracle is well posed
+    poles = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+                 .map(sorted).filter(lambda ps: np.all(np.diff(ps) >= 0.05)))
+    residues = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    b = draw(st.floats(-1.0, 1.0))
+    t = draw(st.floats(0.1, 5.0))
+    xs = draw(st.lists(
+        st.floats(-6.0, 6.0) | st.sampled_from(poles).flatmap(
+            lambda p: st.floats(p - 0.1, p + 0.1)),
+        min_size=1, max_size=12))
+    eps = draw(st.lists(st.sampled_from([1e-1, 1e-3, 1e-6, 1e-9]),
+                        min_size=len(xs), max_size=len(xs)))
+    return b, poles, residues, t, np.array(xs) + 1j * np.array(eps)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rational_subordination())
+def test_subordination_matches_the_polynomial_roots(case):
+    # w + t phi(w) = zeta for a rational phi is a polynomial equation with
+    # exactly one root in C+; every lane finds it
+    b, poles, residues, t, zetas = case
+    form = RationalNevanlinna(0.0, b, tuple(poles), tuple(residues))
+    w = subordinate(to_analytic(form), zetas, t)
+    assert not np.any(np.isnan(w))
+    for wk, zeta in zip(w, zetas):
+        roots = _rational_phi_roots(b, poles, residues, t, zeta)
+        upper = roots[roots.imag > 0]
+        assert upper.size == 1
+        slope = abs(1.0 + t * form.derivative(wk))
+        assert abs(wk - upper[0]) * slope <= 1e-10 * max(1.0, abs(zeta))
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
