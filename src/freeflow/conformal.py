@@ -22,7 +22,7 @@ from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, rational_to_canonical, spec_fn,
                          to_analytic)
-from .quadrature import DEFAULT_ABS_TOL, segment_quad
+from .quadrature import DEFAULT_ABS_TOL
 
 # fixed-point iterates behind the asymptotic Newton seed: from the bare root
 # of the leading term, Newton leaves 1,330 of the 4,480 points of
@@ -40,9 +40,8 @@ class ConformalPair:
     """A primitive Psi with derivative -psi, plus the numeric inverse Phi.
 
     Psi is the raw primitive (natural constant for closed forms, anchored
-    Psi(i) = 0 for the generic and black-box routes) plus `normalization`,
-    the constant added so the image contains C+ once the containment test
-    passes.
+    Psi(i) = 0 for the generic route) plus `normalization`, the constant
+    added so the image contains C+ once the containment test passes.
     """
     psi_form: object
     kind: str
@@ -87,11 +86,6 @@ class ConformalPair:
             return cls(psi, "generic", abs_tol=abs_tol)
         raise TypeError(f"unsupported psi description {type(psi).__name__}")
 
-    @classmethod
-    def from_psi_blackbox(cls, fn, *, abs_tol: float = DEFAULT_ABS_TOL) -> "ConformalPair":
-        """Pair for a black-box Nevanlinna psi given only as an evaluator."""
-        return cls(fn, "blackbox", abs_tol=abs_tol)
-
     # -- psi and Psi --------------------------------------------------------
 
     def psi(self, z):
@@ -111,9 +105,7 @@ class ConformalPair:
             for xi, al in zip(r.poles, r.residues):
                 acc = acc - al * np.log(z - xi)
             return acc
-        if self.kind == "generic":
-            return self._psi_raw_spec(z)
-        return self._psi_raw_path(z)
+        return self._psi_raw_spec(z)
 
     def _psi_raw_spec(self, z: np.ndarray) -> np.ndarray:
         """-[alpha (z^2 + 1)/2 + beta (z - i) + int K(z, u) nu(du)].
@@ -137,19 +129,6 @@ class ConformalPair:
                 lambda u: _kernel_primitive(flat[:, None], u),
                 abs_tol=self.abs_tol, closed=("c", closed))
         return -acc.reshape(z.shape)
-
-    def _psi_raw_path(self, z: np.ndarray) -> np.ndarray:
-        """Black-box route: one segment quadrature from i to every z.
-
-        C+ is convex and psi is analytic there, so the straight segment
-        from the anchor Psi_raw(i) = 0 gives the primitive; the whole grid
-        shares one adaptive pass, so no value depends on the order of the
-        points or on earlier calls.
-        """
-        if np.any(z.imag <= 0):
-            raise DomainError("the quadrature primitive needs Im z > 0")
-        return segment_quad(lambda s: -self._psi_fn.eval_array(s), 1j, z,
-                            abs_tol=self.abs_tol)
 
     def Psi(self, z):
         """Primitive of -psi (plus the stored normalization constant)."""
@@ -213,7 +192,7 @@ class ConformalPair:
 
     def _solve(self, w: np.ndarray, seed: np.ndarray) -> np.ndarray:
         """One lane-wise Newton solve Psi(z) = w; NaN where a lane fails."""
-        # the quadrature primitives (generic, blackbox) carry error near
+        # the generic primitive is a quadrature and carries error near
         # abs_tol
         rtol = 1e-12 if self.kind == "rational" else 1e-9
         return newton_halfplane(lambda z, lanes: self.Psi(z) - w[lanes],
@@ -227,8 +206,8 @@ class ConformalPair:
         vanishes and the drift beta + int u nu(du) is negative.  Psi = w is
         rewritten as L(z) = w - (Psi - L)(z); from the C+ root of L(z) = w,
         SEED_ITERATES fixed-point iterates follow, and a lane keeps an
-        iterate only while it stays in C+.  Without a leading term
-        (black-box primitives, psi with no growth) every seed is NaN.
+        iterate only while it stays in C+.  Without a leading term (psi
+        with no growth) every seed is NaN.
         """
         form = self.psi_form
         lead = drift = 0.0

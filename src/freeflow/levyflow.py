@@ -25,7 +25,11 @@ from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, Verdict, halfplane_grid,
                          is_nevanlinna_numeric, to_analytic,
                          vanishing_at_infinity)
-from .ode import integrate_halfplane
+from .ode import OdeConfig, integrate_halfplane
+
+# no second computation checks the generator route's lanes, so they run
+# tighter than OdeConfig's defaults
+GENERATOR_ODE = OdeConfig(abs_tol=1e-13, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +72,12 @@ class FlowField:
 
     kind: "constant", "power" (phi = coeff z^exp, which includes phi = r/z
     as (r, -1)), "psi-pair" (built from a primitive with image containing
-    C+) or "generator-pair" (converse factorization through a primitive of
-    -1/phi).
+    C+) or "generator" (phi given only as a function, whose flow is
+    integrated lane by lane).
     """
     phi: AnalyticFn
     kind: str
     pair: ConformalPair | None = None
-    gen_pair: ConformalPair | None = None
     power: tuple[float, float] | None = None
     const: complex | None = None
     certificate: ContainmentCertificate | None = None
@@ -98,13 +101,7 @@ class FlowField:
             ff = cls(to_analytic(form), "power",
                      power=(form.residues[0], -1.0))
         else:
-            fn = to_analytic(phi)
-            # converse factorization: a primitive of -1/phi plays Phi, and
-            # its numeric inverse plays Psi
-            eta = AnalyticFn(lambda z: -1.0 / fn.eval_array(z),
-                             name="minus-reciprocal")
-            gpair = ConformalPair.from_psi_blackbox(eta)
-            ff = cls(fn, "generator-pair", gen_pair=gpair)
+            ff = cls(to_analytic(phi), "generator")
         ff.check_invariants()
         return ff
 
@@ -176,8 +173,9 @@ def build_fal2(psi) -> FlowField:
 # ---------------------------------------------------------------------------
 
 def flow_conformal(ff: FlowField, z, t: float):
-    """F_t via the conformal conjugation; t may be negative where the
-    image admits it (detected through inversion failures)."""
+    """F_t via the conformal conjugation, or by RKF45 lanes for a generator
+    given only as a function; t may be negative where the image admits it
+    (detected through inversion failures)."""
     if ff.kind == "constant":
         z = np.asarray(z, dtype=complex)
         out = z - ff.const * t
@@ -187,7 +185,7 @@ def flow_conformal(ff: FlowField, z, t: float):
         return _power_flow(c, p, z, t)
     if ff.kind == "psi-pair":
         return ff.pair.Psi(_no_nan(ff.pair.Phi(z), z) + t)
-    if ff.kind == "generator-pair":
+    if ff.kind == "generator":
         return _no_nan(_generator_flow(ff, z, t), z)
     raise ValueError(f"unknown flow kind {ff.kind}")
 
@@ -203,22 +201,19 @@ def _no_nan(z, w):
 
 
 def _generator_flow(ff: FlowField, z, t: float):
-    """F_t(z) for a generator pair, NaN where a lane fails.
+    """F_t(z) for a generator given only as a function, NaN where a lane
+    fails.
 
     One RKF45 call runs a lane per point: F' = -phi(F) over t, or the
     backward flow G' = phi(G) over |t| when t < 0.  A backward lane from a
     point outside F_|t|(C+) reaches the real axis before time |t| and
-    fails, so that point is NaN with no Newton solve.  Each finished lane
-    seeds the Newton polish gen_pair.Phi(gen_pair.Psi(z) - t).
+    fails, so that point is NaN.
     """
     zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    phi, pair = ff.phi, ff.gen_pair
+    phi = ff.phi
     sign = 1.0 if t >= 0 else -1.0
-    out = integrate_halfplane(lambda y: -sign * phi.eval_array(y), flat,
-                              abs(t))
-    ok = ~np.isnan(out)
-    out[ok] = pair.Phi(pair.Psi(flat[ok]) - t, seed=out[ok])
+    out = integrate_halfplane(lambda y: -sign * phi.eval_array(y),
+                              zs.ravel(), abs(t), GENERATOR_ODE)
     out = out.reshape(zs.shape)
     return out if out.shape else complex(out)
 

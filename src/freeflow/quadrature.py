@@ -160,22 +160,3 @@ def quad_interval(f, lo: float, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL,
     if right_inf:
         return _half_line(f, lo, 1.0, abs_tol, tail_exponent, kw)
     return _half_line(f, hi, -1.0, abs_tol, tail_exponent, kw)
-
-
-def segment_quad(f, z0: complex, z1, *, abs_tol: float = DEFAULT_ABS_TOL,
-                 **kw):
-    """Integrate an analytic f along the straight segment z0 -> z1.
-
-    z1 may be an array: every segment from z0 is then integrated in one
-    adaptive pass (f sees an array of nodes per endpoint) and the result
-    has z1's shape; an empty z1 gives an empty result.
-    """
-    dz = np.asarray(z1, dtype=complex) - z0
-    if dz.size == 0:
-        return np.zeros(dz.shape, dtype=complex)
-    col = dz[..., None]
-
-    def g(s):
-        return np.asarray(f(z0 + s * col)) * col
-
-    return adaptive_quad(g, 0.0, 1.0, abs_tol=abs_tol, **kw)

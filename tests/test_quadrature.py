@@ -5,7 +5,7 @@ import pytest
 
 from freeflow.errors import QuadratureFailure
 from freeflow.quadrature import (adaptive_quad, quad_interval, quad_left_tail,
-                                 quad_right_tail, segment_quad)
+                                 quad_right_tail)
 
 
 def test_polynomial_exact():
@@ -70,17 +70,3 @@ def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureFailure):
         adaptive_quad(lambda x: np.sin(1000.0 * x) * 1000.0, 0.0, 50.0,
                       max_panels=8)
-
-
-def test_segment_quadrature():
-    val = segment_quad(lambda z: z * z, 1j, 1 + 2j)
-    expect = ((1 + 2j) ** 3 - 1j ** 3) / 3.0
-    assert val == pytest.approx(expect, abs=1e-12)
-    # an array of endpoints is one adaptive pass over every segment
-    ends = np.array([1 + 2j, -3 + 0.5j, 2j, 4 - 1j])
-    vals = segment_quad(lambda z: z * z, 1j, ends)
-    assert vals.shape == ends.shape
-    for end, v in zip(ends, vals):
-        assert v == pytest.approx((end ** 3 - 1j ** 3) / 3.0, abs=1e-12)
-    none = segment_quad(lambda z: z * z, 1j, np.array([], dtype=complex))
-    assert none.shape == (0,)
