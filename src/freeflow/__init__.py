@@ -21,7 +21,7 @@ from .conformal import (ConformalPair, ContainmentCertificate, SlitImage,
                         contains_halfplane_translate, normalize_for_halfplane,
                         primitive_eval, slit_image)
 from .ode import OdeConfig, integrate_halfplane
-from .levyflow import (FlowField, KernelSlice, build_fal2, fal2_check, flow,
+from .levyflow import (FlowField, KernelSlice, build_fal2, fal2_check,
                        flow_conformal, flow_inverse, flow_ode,
                        increment_transform, marginal_law, transition_kernel,
                        vanishing_at_infinity)

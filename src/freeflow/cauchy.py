@@ -17,7 +17,7 @@ from ._newton import newton_halfplane
 from .errors import (DomainError, FreeflowError, NewtonDivergence,
                      OutsideInversionDomain)
 from .measures import Measure
-from .nevanlinna import AnalyticFn, to_analytic
+from .nevanlinna import AnalyticFn, boundary_density, to_analytic
 from .quadrature import DEFAULT_ABS_TOL
 
 
@@ -132,17 +132,19 @@ def voiculescu_transform(source, z: complex, *, domain: InversionDomain | None =
     return w - z
 
 
+_LAM_MAX = 4096.0
+
+
 def estimate_inversion_domain(source, *, probe: str = "F",
-                              gamma: float = 1.0,
-                              lam_max: float = 4096.0) -> InversionDomain:
+                              gamma: float = 1.0) -> InversionDomain:
     """Probe where Newton inversion converges from the asymptotic seed.
 
-    Doubles lambda until the three boundary rays of Gamma(gamma, lam)
-    invert, all three in one lane solve.  probe "F" inverts F = 1/G of the
-    law `source` (a Measure or a CauchySampler); probe "subordination"
-    solves w + phi(w) = zeta for the generator phi = `source`, as
-    semigroup_marginal does.  The constants are estimates for reporting,
-    not certified bounds.
+    Doubles lambda, up to _LAM_MAX, until the three boundary rays of
+    Gamma(gamma, lam) invert, all three in one lane solve.  probe "F"
+    inverts F = 1/G of the law `source` (a Measure or a CauchySampler);
+    probe "subordination" solves w + phi(w) = zeta for the generator
+    phi = `source`, as semigroup_marginal does.  The constants are
+    estimates for reporting, not certified bounds.
     """
     if probe not in ("F", "subordination"):
         raise ValueError(f"unknown probe {probe!r}")
@@ -151,7 +153,7 @@ def estimate_inversion_domain(source, *, probe: str = "F",
     t = gamma / math.hypot(1.0, gamma)
     rays = np.array([1j, (t + 1j) / abs(t + 1j), (-t + 1j) / abs(-t + 1j)])
     lam = 1.0
-    while lam <= lam_max:
+    while lam <= _LAM_MAX:
         zs = 1.05 * lam * rays
         try:
             ws = _invert_f(source, zs, max_iter=40) if probe == "F" \
@@ -162,7 +164,7 @@ def estimate_inversion_domain(source, *, probe: str = "F",
             return InversionDomain(gamma, lam)
         lam *= 2.0
     raise NewtonDivergence(
-        f"no inversion domain found with gamma={gamma} up to lam={lam_max}")
+        f"no inversion domain found with gamma={gamma} up to lam={_LAM_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +191,7 @@ def stieltjes_invert(g, x_grid, eps: float = 1e-3) -> DensityTable:
     xs = np.asarray(x_grid, dtype=float)
     caller = g.eval_array if isinstance(g, CauchySampler) \
         else to_analytic(g).eval_array
-    d_full = -np.asarray(caller(xs + 1j * eps)).imag / math.pi
-    d_half = -np.asarray(caller(xs + 1j * (eps / 2.0))).imag / math.pi
-    density = 2.0 * d_half - d_full
+    density = boundary_density(caller, xs, eps, math.pi)
     bad = ~np.isfinite(density)
     safe = np.where(bad, 0.0, density)
     mass = float(np.trapezoid(safe, xs))

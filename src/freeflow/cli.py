@@ -24,7 +24,7 @@ from .conformal import ConformalPair, slit_image
 from .errors import FreeflowError, NewtonDivergence, NotContaining
 from .levyflow import (DEFAULT_T_SAMPLES, FlowField, build_fal2, fal2_check,
                        flow_conformal, flow_ode, increment_transform,
-                       marginal_law, transition_kernel)
+                       transition_kernel)
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, RationalNevanlinna,
                          parse_named_form, recover_parameters, spec_fn,
                          to_analytic)
@@ -75,9 +75,21 @@ def _write_csv(path: str, header: list[str], columns) -> None:
                       zip(np.where(finite, table, np.nan).tolist(), flags))
 
 
+def _json_safe(v):
+    """v with every non-finite float written as "nan", "inf" or "-inf",
+    which strict JSON parsers accept."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if v != v else "inf" if v > 0 else "-inf"
+    return v
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -103,10 +115,19 @@ def _values_payload(grid, values) -> dict:
             "values": [[float(v.real), float(v.imag)] for v in vals]}
 
 
+def _points(args):
+    """(grid, height, zs): the one point --z, else --grid at --height."""
+    if args.z is not None:
+        z = _parse_complex(args.z)
+        return [z.real], z.imag, np.array([z])
+    grid = _parse_grid(args.grid)
+    return grid, args.height, grid + 1j * args.height
+
+
 def _generator_field(args) -> FlowField:
-    if getattr(args, "psi", None):
+    if args.psi:
         return build_fal2(parse_named_form(args.psi))
-    if getattr(args, "phi", None):
+    if args.phi:
         return FlowField.from_generator(parse_named_form(args.phi))
     raise FreeflowError("one of --phi or --psi is required")
 
@@ -121,14 +142,7 @@ def _cmd_nev_eval(args) -> int:
     form = parse_named_form(args.spec)
     fn = spec_fn(form, abs_tol=args.tol_abs) \
         if isinstance(form, NevanlinnaSpec) else to_analytic(form)
-    if args.z is not None:
-        zs = np.array([_parse_complex(args.z)])
-        grid = [zs[0].real]
-        height = zs[0].imag
-    else:
-        grid = _parse_grid(args.grid)
-        height = args.height
-        zs = grid + 1j * height
+    grid, height, zs = _points(args)
     values = fn.eval_array(zs)
     payload = _values_payload(grid, values)
     payload["height"] = height
@@ -190,12 +204,9 @@ def _cmd_conformal_image(args) -> int:
     pair = ConformalPair.from_psi(form)
     delta = 1e-4
     boundary = []
-    edges = [-math.inf, *form.poles, math.inf]
-    for j in range(len(form.poles) + 1):
-        lo = edges[j] if math.isfinite(edges[j]) else edges[j + 1] - args.span
-        hi = edges[j + 1] if math.isfinite(edges[j + 1]) else edges[j] + args.span
-        if not math.isfinite(edges[j]) and not math.isfinite(edges[j + 1]):
-            lo, hi = -args.span, args.span
+    first, last = (form.poles[0], form.poles[-1]) if form.poles else (0.0, 0.0)
+    ends = [first - args.span, *form.poles, last + args.span]
+    for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
         xs = np.linspace(lo + 1e-3, hi - 1e-3, args.samples)
         vals = np.asarray(pair.Psi(xs + 1j * delta))
         boundary.append([np.full(xs.size, j), xs, vals.real, vals.imag])
@@ -262,17 +273,9 @@ def _cmd_fal2_build(args) -> int:
 
 
 def _cert_dict(cert) -> dict:
-    def clean(v):
-        if v != v:
-            return "nan"
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
     return {"verdict": "yes" if cert.verdict else "no",
-            "m2Plus": clean(cert.m2_plus), "alpha": cert.alpha,
-            "drift": clean(cert.drift), "condition": cert.condition}
+            "m2Plus": cert.m2_plus, "alpha": cert.alpha,
+            "drift": cert.drift, "condition": cert.condition}
 
 
 def _c_pair(z: complex) -> list[float]:
@@ -315,32 +318,21 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    """kernel; marginal is the kernel from x = 0, with no x recorded."""
     ff = _generator_field(args)
     grid = _parse_grid(args.grid)
     ks = transition_kernel(ff, args.t, args.x, grid, eps=args.eps)
     _write_csv(args.out, ["u", "density"], [ks.grid, ks.density])
-    _manifest(args, args.out, {"massDeficit": ks.mass_deficit, "t": args.t,
-                               "x": args.x})
-    return 0
-
-
-def _cmd_marginal(args) -> int:
-    ff = _generator_field(args)
-    grid = _parse_grid(args.grid)
-    ks = marginal_law(ff, args.t, grid, eps=args.eps)
-    _write_csv(args.out, ["u", "density"], [ks.grid, ks.density])
-    _manifest(args, args.out, {"massDeficit": ks.mass_deficit, "t": args.t})
+    extra = {"massDeficit": ks.mass_deficit, "t": args.t}
+    if args.command == "kernel":
+        extra["x"] = args.x
+    _manifest(args, args.out, extra)
     return 0
 
 
 def _cmd_increment(args) -> int:
     ff = _generator_field(args)
-    if args.z is not None:
-        zs = np.array([_parse_complex(args.z)])
-        grid = [zs[0].real]
-    else:
-        grid = _parse_grid(args.grid)
-        zs = np.asarray(grid) + 1j * args.height
+    grid, _, zs = _points(args)
     vals = np.asarray(increment_transform(ff, args.s, args.t, zs))
     payload = _values_payload(grid, vals)
     payload.update({"s": args.s, "t": args.t})
@@ -361,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="free additive convolution and free Levy flow engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out, *, eps=False):
+    def common(p, default_out, *, eps=False, field=False):
+        if field:
+            p.add_argument("--phi", help="the generator phi")
+            p.add_argument("--psi", help="psi of the field psi o Phi")
         if eps:
             p.add_argument("--eps", type=float, default=1e-3,
                            help="Stieltjes boundary offset")
@@ -419,50 +414,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fal2_build)
 
     p = sub.add_parser("fal2-check", help="falsify the FAL2 property")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
     p.add_argument("--t-samples")
     p.add_argument("--im-tol", type=float, default=1e-8)
-    common(p, "fal2-check.json")
+    common(p, "fal2-check.json", field=True)
     p.set_defaults(handler=_cmd_fal2_check)
 
     p = sub.add_parser("flow", help="flow snapshots on a grid")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
     p.add_argument("--t", default="1.0", help="comma-separated times")
     p.add_argument("--grid", default="-3:3:20")
     p.add_argument("--im-grid", default="0.1:3:20")
     p.add_argument("--route", choices=("conformal", "ode"),
                    default="conformal")
-    common(p, "flow.csv")
+    common(p, "flow.csv", field=True)
     p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("kernel", help="transition kernel density")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--grid", default="-8:8:321")
-    common(p, "kernel.csv", eps=True)
+    common(p, "kernel.csv", eps=True, field=True)
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("marginal", help="marginal law density")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--grid", default="-8:8:321")
-    common(p, "marginal.csv", eps=True)
-    p.set_defaults(handler=_cmd_marginal)
+    common(p, "marginal.csv", eps=True, field=True)
+    p.set_defaults(handler=_cmd_kernel, x=0.0)
 
     p = sub.add_parser("increment", help="Voiculescu transform of increments")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--z")
     p.add_argument("--grid", default="-3:3:13")
     p.add_argument("--height", type=float, default=2.0)
-    common(p, "increment.json")
+    common(p, "increment.json", field=True)
     p.set_defaults(handler=_cmd_increment)
 
     return parser
@@ -479,10 +464,7 @@ def main(argv=None) -> int:
         if "eps" in args and args.eps <= 0:
             raise FreeflowError("tolerances must be positive")
         return args.handler(args)
-    except FreeflowError as exc:
-        print(f"freeflow: error: {exc}", file=sys.stderr)
-        return ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FreeflowError, ValueError, OSError) as exc:
         print(f"freeflow: error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -30,6 +30,8 @@ from .quadrature import DEFAULT_ABS_TOL
 # poles near -1.5, 0, 1.5); from three iterates it leaves none
 SEED_ITERATES = 3
 
+_MAX_SHIFT = 512.0
+
 
 # ---------------------------------------------------------------------------
 # the conformal pair
@@ -329,7 +331,7 @@ class SlitImage:
         return math.inf
 
 
-def slit_image(r: RationalNevanlinna, *, bisect_tol: float = 1e-12) -> SlitImage:
+def slit_image(r: RationalNevanlinna) -> SlitImage:
     """Heights are -pi * sum of residues to the right; tips minimise Re Psi.
 
     Requires a < 0 so that psi decreases from +inf to -inf across each of
@@ -352,14 +354,13 @@ def slit_image(r: RationalNevanlinna, *, bisect_tol: float = 1e-12) -> SlitImage
     for j in range(n + 1):
         left = poles[j - 1] if j > 0 else None
         right = poles[j] if j < n else None
-        root = _bisect_decreasing(psi_real, left, right, bisect_tol)
+        root = _bisect_decreasing(psi_real, left, right)
         tip = float(np.real(pair.Psi(complex(root, 0.0))))
         slits.append((heights[j], tip))
     return SlitImage(tuple(slits))
 
 
-def _bisect_decreasing(f, left: float | None, right: float | None,
-                       tol: float) -> float:
+def _bisect_decreasing(f, left: float | None, right: float | None) -> float:
     """Root of a strictly decreasing f on (left, right), ends may be open."""
     if left is None and right is None:
         a, b = -1.0, 1.0
@@ -384,7 +385,7 @@ def _bisect_decreasing(f, left: float | None, right: float | None,
         a = left + 1e-12 * max(1.0, width)
         b = right - 1e-12 * max(1.0, width)
     scale = max(1.0, abs(a), abs(b))
-    while b - a > tol * scale:
+    while b - a > 1e-12 * scale:
         mid = 0.5 * (a + b)
         if f(mid) > 0:
             a = mid
@@ -406,8 +407,8 @@ class ContainmentCertificate:
     condition: str
 
 
-def contains_halfplane_translate(psi, *, abs_tol: float = DEFAULT_ABS_TOL,
-                                 zero_tol: float = 1e-9) -> ContainmentCertificate:
+def contains_halfplane_translate(
+        psi, *, abs_tol: float = DEFAULT_ABS_TOL) -> ContainmentCertificate:
     """Decide whether Psi(C+) contains a translate of C+.
 
     yes iff [int_0^inf u^2 nu < inf and alpha < 0] or [that moment finite,
@@ -425,7 +426,7 @@ def contains_halfplane_translate(psi, *, abs_tol: float = DEFAULT_ABS_TOL,
             True, m2_plus, spec.alpha, spec.beta + spec.nu.moment(1, abs_tol=abs_tol),
             "alpha < 0")
     drift = spec.beta + spec.nu.moment(1, abs_tol=abs_tol)
-    if drift < -zero_tol:
+    if drift < -1e-9:
         return ContainmentCertificate(True, m2_plus, spec.alpha, drift,
                                       "alpha = 0 and drift < 0")
     return ContainmentCertificate(False, m2_plus, spec.alpha, drift,
@@ -444,8 +445,7 @@ def _canonical(psi) -> NevanlinnaSpec:
     raise TypeError(f"no canonical form for {type(psi).__name__}")
 
 
-def normalize_for_halfplane(pair: ConformalPair,
-                            *, max_shift: float = 512.0) -> ConformalPair:
+def normalize_for_halfplane(pair: ConformalPair) -> ConformalPair:
     """Return a pair whose normalized image contains C+.
 
     Closed forms with containment already have the property (top slit at
@@ -454,7 +454,7 @@ def normalize_for_halfplane(pair: ConformalPair,
     ray: Im Psi is nondecreasing along horizontal boundary lines (psi is
     Nevanlinna), so the supremum sits just right of the support of nu, and
     one near-boundary evaluation estimates it.  A small probe grid then
-    verifies invertibility, doubling the shift on failure.
+    verifies invertibility, doubling the shift on failure up to _MAX_SHIFT.
     """
     if pair.kind in ("rational", "power", "constant"):
         return pair
@@ -474,10 +474,10 @@ def normalize_for_halfplane(pair: ConformalPair,
     shift = max(0.0, q_top + 1e-3 + 0.02 * abs(q_top))
     probes = np.array([complex(re, im) for re in (-3.0, 0.0, 3.0)
                        for im in (0.2, 5.0)])
-    while shift <= max_shift:
+    while shift <= _MAX_SHIFT:
         shifted = replace(pair, normalization=pair.normalization - 1j * shift)
         if not np.any(np.isnan(shifted.Phi(probes))):
             return shifted if shift > 0 else pair
         shift = max(1.0, 2.0 * shift)
     raise NotContaining(
-        f"no vertical translate up to {max_shift} makes the image contain C+")
+        f"no vertical translate up to {_MAX_SHIFT} makes the image contain C+")

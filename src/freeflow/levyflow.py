@@ -21,10 +21,10 @@ from .conformal import (ConformalPair, ContainmentCertificate,
 from .errors import (DomainError, NotContaining, NotNevanlinna, OutsideImage,
                      StepUnderflow)
 from .measures import Measure
-from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
-                         RationalNevanlinna, Verdict, halfplane_grid,
-                         is_nevanlinna_numeric, to_analytic,
-                         vanishing_at_infinity)
+from .nevanlinna import (INCONCLUSIVE_FRACTION, AnalyticFn, NevanlinnaSpec,
+                         PowerForm, RationalNevanlinna, Verdict,
+                         halfplane_grid, is_nevanlinna_numeric, scan_im,
+                         to_analytic, vanishing_at_infinity)
 from .ode import OdeConfig, integrate_halfplane
 
 # no second computation checks the generator route's lanes, so they run
@@ -245,14 +245,6 @@ def flow_ode(ff: FlowField, z, t):
     return out
 
 
-def flow(ff: FlowField, z, t: float, *, route: str = "conformal"):
-    if route == "conformal":
-        return flow_conformal(ff, z, t)
-    if route == "ode":
-        return flow_ode(ff, z, t)
-    raise ValueError(f"unknown route {route!r}; use 'conformal' or 'ode'")
-
-
 # ---------------------------------------------------------------------------
 # the FAL2 falsifier
 # ---------------------------------------------------------------------------
@@ -261,8 +253,7 @@ DEFAULT_T_SAMPLES = (0.1, 0.5, 1.0, 5.0)
 
 
 def fal2_check(phi, t_samples=DEFAULT_T_SAMPLES, *, grid=None,
-               im_tol: float = 1e-8,
-               inconclusive_fraction: float = 0.05) -> Verdict:
+               im_tol: float = 1e-8) -> Verdict:
     """Check that phi o F_t^(-1) keeps values in C- for each sampled t.
 
     A falsifier, not a prover: pass means no violation was found on the
@@ -278,20 +269,18 @@ def fal2_check(phi, t_samples=DEFAULT_T_SAMPLES, *, grid=None,
     detail = {}
     for t in t_samples:
         vals, failures = _proxy_values(ff, pts, t, pre)
-        finite = np.isfinite(vals)
-        bad_total = int(np.count_nonzero(~finite))  # includes failure slots
-        imag = np.where(finite, vals.imag, -np.inf)
-        k = int(np.argmax(imag))
-        detail[f"t={t:g}"] = {"maxIm": float(imag[k]),
+        # the non-finite share includes the inversion-failure slots
+        k, max_im, bad_frac = scan_im(vals)
+        detail[f"t={t:g}"] = {"maxIm": max_im,
                               "inversionFailures": int(failures)}
-        if imag[k] > im_tol:
-            if worst is None or imag[k] > worst[2]:
-                worst = (t, complex(pts[k]), float(imag[k]))
-        fail_frac = max(fail_frac, bad_total / pts.size)
+        if max_im > im_tol:
+            if worst is None or max_im > worst[2]:
+                worst = (t, complex(pts[k]), max_im)
+        fail_frac = max(fail_frac, bad_frac)
     if worst is not None:
         return Verdict("fail", witness=worst[1], t=worst[0],
                        detail={"im": worst[2], **detail})
-    if fail_frac > inconclusive_fraction:
+    if fail_frac > INCONCLUSIVE_FRACTION:
         return Verdict("inconclusive",
                        detail={"failureFraction": fail_frac, **detail})
     return Verdict("pass", detail={"certificate": "no-violation-found",
@@ -334,14 +323,6 @@ class KernelSlice:
     bad: np.ndarray
 
 
-def _flow_grid_fn(ff: FlowField, t: float, shift: float):
-    def g(zetas):
-        zetas = np.asarray(zetas, dtype=complex)
-        vals = flow_conformal(ff, zetas, t)
-        return 1.0 / (np.asarray(vals) - shift)
-    return g
-
-
 def marginal_law(ff: FlowField, t: float, x_grid,
                  *, eps: float = 1e-3) -> KernelSlice:
     """Law of the flow at time t started from the point mass at 0."""
@@ -353,9 +334,11 @@ def transition_kernel(ff: FlowField, t: float, x: float, u_grid,
     """Markov kernel from x: Stieltjes inversion of 1/(F_t - x)."""
     if t < 0:
         raise DomainError("t must be nonnegative")
-    table = stieltjes_invert(AnalyticFn(_flow_grid_fn(ff, t, shift=float(x))),
-                             np.asarray(u_grid, float), eps)
-    return KernelSlice(t, float(x), table.grid, table.density,
+    x = float(x)
+    g = AnalyticFn(
+        lambda zs: 1.0 / (np.asarray(flow_conformal(ff, zs, t)) - x))
+    table = stieltjes_invert(g, np.asarray(u_grid, float), eps)
+    return KernelSlice(t, x, table.grid, table.density,
                        table.mass_deficit, table.bad)
 
 

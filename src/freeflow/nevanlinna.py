@@ -274,10 +274,9 @@ def rational_to_canonical(r: RationalNevanlinna) -> NevanlinnaSpec:
     return NevanlinnaSpec(r.a, beta, Measure(atoms=tuple(atoms)))
 
 
-def halfplane_grid(n_r: int = 64, n_theta: int = 64, r_min: float = 1e-3,
-                   r_max: float = 1e3) -> np.ndarray:
-    """Log-polar sampling of C+ refined toward the real axis."""
-    radii = np.logspace(math.log10(r_min), math.log10(r_max), n_r)
+def halfplane_grid(n_r: int = 64, n_theta: int = 64) -> np.ndarray:
+    """Log-polar sampling of C+ (radii 1e-3..1e3) refined toward the axis."""
+    radii = np.logspace(-3.0, 3.0, n_r)
     base = math.pi * (np.arange(n_theta) + 0.5) / n_theta
     near_axis = []
     for k in (1e-2, 1e-3, 1e-4):
@@ -304,7 +303,22 @@ class Verdict:
         return self.status == "fail"
 
 
-def is_nevanlinna_numeric(f, grid=None, *, im_tol: float = 1e-9) -> Verdict:
+# largest share of non-finite samples a falsifier's pass tolerates; above it
+# the verdict is inconclusive
+INCONCLUSIVE_FRACTION = 0.05
+_IM_TOL = 1e-9
+
+
+def scan_im(vals: np.ndarray) -> tuple[int, float, float]:
+    """(index of the largest finite Im, that Im, share of non-finite values);
+    the largest Im is -inf when no value is finite."""
+    finite = np.isfinite(vals)
+    imag = np.where(finite, vals.imag, -np.inf)
+    k = int(np.argmax(imag))
+    return k, float(imag[k]), int(np.count_nonzero(~finite)) / vals.size
+
+
+def is_nevanlinna_numeric(f, grid=None) -> Verdict:
     """Sample Im f over C+; fail carries a witness, pass is necessary-only."""
     fn = to_analytic(f)
     zs = halfplane_grid() if grid is None else np.asarray(grid, dtype=complex)
@@ -317,18 +331,15 @@ def is_nevanlinna_numeric(f, grid=None, *, im_tol: float = 1e-9) -> Verdict:
             except Exception:
                 raise EvaluatorFailure(f"evaluator failed at {z}", point=z) from exc
         raise EvaluatorFailure(str(exc)) from exc
-    finite = np.isfinite(vals)
-    nan_frac = 1.0 - float(np.count_nonzero(finite)) / vals.size
-    imag = np.where(finite, vals.imag, -np.inf)
-    worst = int(np.argmax(imag))
-    if imag[worst] > im_tol:
+    worst, max_im, nan_frac = scan_im(vals)
+    if max_im > _IM_TOL:
         return Verdict("fail", witness=complex(zs[worst]),
-                       detail={"im": float(imag[worst]), "nanFraction": nan_frac})
-    if nan_frac > 0.05:
+                       detail={"im": max_im, "nanFraction": nan_frac})
+    if nan_frac > INCONCLUSIVE_FRACTION:
         return Verdict("inconclusive", detail={"nanFraction": nan_frac})
     return Verdict("pass", detail={"certificate": "necessary-condition-only",
                                    "points": int(vals.size),
-                                   "maxIm": float(imag[worst]),
+                                   "maxIm": max_im,
                                    "nanFraction": nan_frac})
 
 
@@ -377,8 +388,19 @@ class RecoveryResult:
     flags: tuple[str, ...] = ()
 
 
-def recover_parameters(f, *, u_grid=None, eps: float = 1e-3,
-                       v_ladder=None, probe_tol: float = 1e-9) -> RecoveryResult:
+def boundary_density(evaluate, xs: np.ndarray, eps: float,
+                     weight) -> np.ndarray:
+    """-Im f(x + i eps)/weight, Richardson-extrapolated over (eps, eps/2).
+
+    evaluate maps an array of points to f there; weight is pi for a
+    Cauchy transform G and pi (1 + x^2) for the nu of a Nevanlinna f.
+    """
+    d_full = -np.asarray(evaluate(xs + 1j * eps)).imag / weight
+    d_half = -np.asarray(evaluate(xs + 1j * (eps / 2.0))).imag / weight
+    return 2.0 * d_half - d_full
+
+
+def recover_parameters(f, *, u_grid=None, eps: float = 1e-3) -> RecoveryResult:
     """Recover (alpha, beta, nu) of a black-box Nevanlinna function.
 
     alpha comes from a Richardson-extrapolated f(iv)/(iv) ladder, or is 0
@@ -389,11 +411,10 @@ def recover_parameters(f, *, u_grid=None, eps: float = 1e-3,
     resolved; they surface as a mass deficit plus a warning flag.
     """
     fn = to_analytic(f)
-    probe = is_nevanlinna_numeric(fn, halfplane_grid(n_r=10, n_theta=8),
-                                  im_tol=probe_tol)
+    probe = is_nevanlinna_numeric(fn, halfplane_grid(n_r=10, n_theta=8))
     if probe.failed:
         raise NotNevanlinna(
-            f"Im f = {probe.detail['im']:.3g} > {probe_tol:g} at "
+            f"Im f = {probe.detail['im']:.3g} > {_IM_TOL:g} at "
             f"z = {probe.witness}", witness=probe.witness)
     fi = fn(1j)
     if abs(fi.imag) < 1e-12:
@@ -402,9 +423,8 @@ def recover_parameters(f, *, u_grid=None, eps: float = 1e-3,
                               np.array([]), 0.0, 0.0, 0.0,
                               flags=("real-constant",))
 
-    if v_ladder is None:
-        v_ladder = 2.0 ** np.arange(6, 21)
-    ratios = fn.eval_array(1j * np.asarray(v_ladder)) / (1j * np.asarray(v_ladder))
+    v = 2.0 ** np.arange(6, 21)
+    ratios = fn.eval_array(1j * v) / (1j * v)
     ext = 2.0 * ratios[1:] - ratios[:-1]
     tail_jump = abs(ext[-1] - ext[-2])
     if np.isfinite(tail_jump) and tail_jump <= 1e-4 * max(1.0, abs(ext[-1])):
@@ -417,10 +437,8 @@ def recover_parameters(f, *, u_grid=None, eps: float = 1e-3,
             f"alpha ladder did not settle (last jump {tail_jump:.3g})")
 
     grid = default_recovery_grid() if u_grid is None else np.asarray(u_grid, float)
-    weight = math.pi * (1.0 + grid * grid)
-    d_full = -fn.eval_array(grid + 1j * eps).imag / weight
-    d_half = -fn.eval_array(grid + 1j * (eps / 2.0)).imag / weight
-    density = 2.0 * d_half - d_full
+    density = boundary_density(fn.eval_array, grid, eps,
+                               math.pi * (1.0 + grid * grid))
 
     mass = float(np.trapezoid(density, grid))
     implied = alpha_hat - fi.imag

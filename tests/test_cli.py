@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,20 @@ def test_marginal_and_kernel_const(tmp_path):
     assert float(at_x["u"]) == pytest.approx(1.0)
     assert float(at_x["density"]) == pytest.approx(1 / (math.pi * 0.5),
                                                    abs=1e-4)
+
+
+def test_marginal_is_the_kernel_from_zero(tmp_path):
+    args = ["--phi", "const(0,-1)", "--t", "0.7", "--grid=-4:4:41"]
+    marg, kern = tmp_path / "m.csv", tmp_path / "k.csv"
+    assert main(["marginal", *args, "--out", str(marg)]) == 0
+    assert main(["kernel", *args, "--x", "0", "--out", str(kern)]) == 0
+    assert marg.read_bytes() == kern.read_bytes()
+    m = read_json(tmp_path / "m.csv.manifest.json")
+    k = read_json(tmp_path / "k.csv.manifest.json")
+    assert "x" not in m
+    assert k.pop("x") == 0.0
+    assert (m.pop("command"), k.pop("command")) == ("marginal", "kernel")
+    assert m == k
 
 
 @pytest.mark.parametrize("route", ["conformal", "ode"])
@@ -340,3 +356,32 @@ def test_csv_cells_finite_or_flagged(tmp_path):
         if row["flag"] == "":
             assert math.isfinite(float(row["u"]))
             assert math.isfinite(float(row["density"]))
+
+
+def test_json_outputs_have_no_non_finite_tokens(tmp_path):
+    # psi = -z + 1/z at its pole gives an infinite and a NaN part
+    out = tmp_path / "e.json"
+    assert main(["nev-eval", "--spec", RATIONAL_LOG, "--z", "0,0",
+                 "--out", str(out)]) == 0
+
+    def strict(path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        return json.loads(path.read_text(), parse_constant=reject)
+    assert strict(out)["values"] == [["inf", "nan"]]
+    assert strict(tmp_path / "e.json.manifest.json")["command"] == "nev-eval"
+
+
+def test_readme_commands_run(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    cmds = [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("freeflow ")]
+    assert len(cmds) == 8
+    for k, argv in enumerate(cmds):
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / f"{k}-{argv[at]}")
+        # the README's pow(-0.5) line is the failing check
+        expected = 2 if "pow(-0.5)" in argv else 0
+        assert main(argv) == expected, argv

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeflow import quadrature
 from freeflow.conformal import (ConformalPair, ContainmentCertificate,
@@ -12,7 +14,8 @@ from freeflow.errors import (MissingTailMetadata, OutsideImage, PoleOnPath)
 from freeflow.measures import (DensityPiece, Measure, dirac,
                                semicircle_measure)
 from freeflow.nevanlinna import (NevanlinnaSpec, PowerForm,
-                                 RationalNevanlinna, halfplane_grid)
+                                 RationalNevanlinna, halfplane_grid,
+                                 rational_to_canonical)
 
 RNG = np.random.default_rng(1123)
 
@@ -74,6 +77,34 @@ def test_generic_primitive_matches_rational_up_to_constant():
     d_gen = gen.Psi(z1) - gen.Psi(z2)
     d_closed = closed.Psi(z1) - closed.Psi(z2)
     assert complex(d_gen) == pytest.approx(complex(d_closed), abs=1e-7)
+
+
+@st.composite
+def rational_psi_and_points(draw):
+    n = draw(st.integers(1, 4))
+    poles = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+                 .map(sorted).filter(lambda ps: np.all(np.diff(ps) >= 0.05)))
+    residues = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    r = RationalNevanlinna(draw(st.sampled_from([0.0, -0.5, -1.0, -2.0])),
+                           draw(st.floats(-1.0, 1.0)), tuple(poles),
+                           tuple(residues))
+    zs = draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(1e-6, 5.0)),
+                       min_size=1, max_size=12))
+    return r, np.array([complex(x, y) for x, y in zs])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rational_psi_and_points())
+def test_generic_primitive_matches_rational_closed_form(case):
+    # the closed form against the quadrature route on the same psi, whose
+    # atoms-only measure from_psi would send to the closed form
+    r, zs = case
+    closed = ConformalPair.from_psi(r)
+    assert closed.kind == "rational"
+    gen = ConformalPair(rational_to_canonical(r), "generic")
+    want = closed.Psi(zs) - closed.Psi(1j)
+    err = np.abs(gen.Psi(zs) - want)
+    assert np.all(err <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
 
 SEMICIRCLE_SPEC = NevanlinnaSpec(-0.5, 0.2, semicircle_measure(1.0).scaled(0.3))

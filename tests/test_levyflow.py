@@ -8,7 +8,7 @@ from freeflow.conformal import ConformalPair
 from freeflow.errors import (DomainError, NotContaining, NotNevanlinna,
                              OutsideImage)
 from freeflow.levyflow import (DEFAULT_T_SAMPLES, FlowField, KernelSlice,
-                               build_fal2, fal2_check, flow, flow_conformal,
+                               build_fal2, fal2_check, flow_conformal,
                                flow_inverse, flow_ode, increment_transform,
                                marginal_law, transition_kernel,
                                vanishing_at_infinity)
@@ -244,13 +244,6 @@ def test_flow_seeds_phi_from_preimages(monkeypatch):
     # seeding each solve with the previous output F_t(w), an image point,
     # took 3,674 Newton iterations; preimage seeds take about 1,970
     assert derivative_calls[0] <= 2400
-
-
-def test_flow_route_must_be_known(ff_sqrt):
-    assert flow(ff_sqrt, 1j, 1.0, route="conformal") == \
-        pytest.approx(flow_conformal(ff_sqrt, 1j, 1.0), abs=1e-15)
-    with pytest.raises(ValueError):
-        flow(ff_sqrt, 1j, 1.0, route="auto")
 
 
 # -- black-box generator route ------------------------------------------------------

@@ -8,8 +8,8 @@ from freeflow.errors import (DomainError, EvaluatorFailure,
 from freeflow.measures import Measure, dirac, semicircle_measure
 from freeflow.nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                                  RationalNevanlinna, const_fn, constant_spec,
-                                 is_nevanlinna_numeric, neg_pow,
-                                 parse_named_form, pow_fn,
+                                 halfplane_grid, is_nevanlinna_numeric,
+                                 neg_pow, parse_named_form, pow_fn,
                                  rational_to_canonical, recover_parameters,
                                  spec_fn, to_analytic, validate_derivative)
 
@@ -146,6 +146,20 @@ def test_verifier_pass_is_labelled_necessary_only():
     v = is_nevanlinna_numeric(const_fn(-1j))
     assert v.passed
     assert v.detail["certificate"] == "necessary-condition-only"
+
+
+def test_verifier_non_finite_share_of_exactly_five_percent_passes():
+    # 7 of 140 points is a share of 0.05, which passes as in fal2_check;
+    # 1 - 133/140 would round to just above it
+    grid = halfplane_grid(n_r=10, n_theta=8)
+    assert grid.size == 140
+    nan_at = grid[:7]
+    fn = AnalyticFn(lambda z: np.where(np.isin(z, nan_at), complex("nan"),
+                                       -1j))
+    v = is_nevanlinna_numeric(fn, grid)
+    assert v.status == "pass"
+    assert type(v.detail["nanFraction"]) is float
+    assert v.detail["nanFraction"] == 0.05
 
 
 # -- parameter recovery -------------------------------------------------------
