@@ -143,7 +143,9 @@ def _cmd_nev_eval(args) -> int:
     fn = spec_fn(form, abs_tol=args.tol_abs) \
         if isinstance(form, NevanlinnaSpec) else to_analytic(form)
     grid, height, zs = _points(args)
-    values = fn.eval_array(zs)
+    # a pole or branch point gives inf/nan, which the JSON already reports
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = fn.eval_array(zs)
     payload = _values_payload(grid, values)
     payload["height"] = height
     _write_json(args.out, payload)

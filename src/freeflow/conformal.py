@@ -20,8 +20,8 @@ from .errors import (DomainError, NotContaining, OutsideImage, PoleOnPath,
                      QuadratureFailure)
 from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
-                         RationalNevanlinna, rational_to_canonical, spec_fn,
-                         to_analytic)
+                         RationalNevanlinna, _principal_power,
+                         rational_to_canonical, spec_fn, to_analytic)
 from .quadrature import DEFAULT_ABS_TOL
 
 # fixed-point iterates behind the asymptotic Newton seed: from the bare root
@@ -100,7 +100,7 @@ class ConformalPair:
         if self.kind == "power":
             c, p = self.psi_form.coeff, self.psi_form.exponent
             q = p + 1.0
-            return -(c / q) * np.power(z, q)
+            return -(c / q) * _principal_power(z, q)
         if self.kind == "rational":
             r: RationalNevanlinna = self.psi_form
             acc = -0.5 * r.a * z * z - r.b * z

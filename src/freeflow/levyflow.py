@@ -23,8 +23,9 @@ from .errors import (DomainError, NotContaining, NotNevanlinna, OutsideImage,
 from .measures import Measure
 from .nevanlinna import (INCONCLUSIVE_FRACTION, AnalyticFn, NevanlinnaSpec,
                          PowerForm, RationalNevanlinna, Verdict,
-                         halfplane_grid, is_nevanlinna_numeric, scan_im,
-                         to_analytic, vanishing_at_infinity)
+                         _principal_power, halfplane_grid,
+                         is_nevanlinna_numeric, scan_im, to_analytic,
+                         vanishing_at_infinity)
 from .ode import OdeConfig, integrate_halfplane
 
 # no second computation checks the generator route's lanes, so they run
@@ -45,7 +46,7 @@ def _power_flow(coeff: float, exponent: float, z, t: float):
     """
     z = np.asarray(z, dtype=complex)
     q = 1.0 - exponent
-    v = np.power(z, q) - q * coeff * t
+    v = _principal_power(z, q) - q * coeff * t
     theta = np.angle(v)
     theta = np.where(theta <= 0, theta + 2.0 * math.pi, theta)
     out = np.abs(v) ** (1.0 / q) * np.exp(1j * theta / q)
@@ -57,8 +58,8 @@ def _power_proxy(coeff: float, exponent: float, z, t: float):
     the initial domain, and the branch that exposes half-plane violations)."""
     z = np.asarray(z, dtype=complex)
     q = 1.0 - exponent
-    base = np.power(z, q) + q * coeff * t
-    out = coeff * np.power(base, exponent / q)
+    base = _principal_power(z, q) + q * coeff * t
+    out = coeff * _principal_power(base, exponent / q)
     return out if out.shape else complex(out)
 
 

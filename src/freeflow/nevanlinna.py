@@ -109,6 +109,27 @@ class RationalNevanlinna:
         return acc if acc.shape else complex(acc)
 
 
+def _principal_power(z, p: float) -> np.ndarray:
+    """z**p on the principal branch, arg z in (-pi, pi]: np.power's product
+    for integer p, a square root for half-integer p, else |z|^p e^(i p arg z),
+    each faster and more accurate than numpy's exp(p log z).  Works on a 1-d
+    array, so that a 0-d z rounds as its lane of an array call does."""
+    z = np.asarray(z, dtype=complex)
+    if p == int(p):
+        return np.power(z, p)
+    flat = np.atleast_1d(z)
+    n = 2.0 * p
+    if n == int(n):
+        out = np.sqrt(flat)
+        if n == -1:
+            out = 1.0 / out
+        elif n != 1:
+            out = np.power(out, int(n))
+    else:
+        out = np.abs(flat) ** p * np.exp(1j * p * np.angle(flat))
+    return out.reshape(z.shape)
+
+
 @dataclass(frozen=True)
 class PowerForm:
     """psi(z) = coeff * z**exponent with the principal branch on C \\ (-inf, 0].
@@ -128,12 +149,13 @@ class PowerForm:
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
-        val = self.coeff * np.power(z, self.exponent)
+        val = self.coeff * _principal_power(z, self.exponent)
         return val if val.shape else complex(val)
 
     def derivative(self, z):
         z = np.asarray(z, dtype=complex)
-        val = self.coeff * self.exponent * np.power(z, self.exponent - 1.0)
+        val = (self.coeff * self.exponent
+               * _principal_power(z, self.exponent - 1.0))
         return val if val.shape else complex(val)
 
     def canonical_spec(self) -> NevanlinnaSpec:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,15 @@ def test_json_outputs_have_no_non_finite_tokens(tmp_path):
         return json.loads(path.read_text(), parse_constant=reject)
     assert strict(out)["values"] == [["inf", "nan"]]
     assert strict(tmp_path / "e.json.manifest.json")["command"] == "nev-eval"
+
+
+def test_nev_eval_at_a_pole_prints_no_warning(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["nev-eval", "--spec", RATIONAL_LOG, "--z", "0,0",
+                     "--out", str(tmp_path / "e.json")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_commands_run(tmp_path):

@@ -13,8 +13,9 @@ from freeflow.levyflow import (DEFAULT_T_SAMPLES, FlowField, KernelSlice,
                                marginal_law, transition_kernel,
                                vanishing_at_infinity)
 from freeflow.nevanlinna import (AnalyticFn, PowerForm, RationalNevanlinna,
-                                 const_fn, halfplane_grid, neg_pow, pow_fn,
-                                 rational_fn, to_analytic)
+                                 const_fn, halfplane_grid, neg_pow,
+                                 parse_named_form, pow_fn, rational_fn,
+                                 to_analytic)
 
 RNG = np.random.default_rng(7221)
 
@@ -193,6 +194,30 @@ def test_route_agreement_rational_pair():
         for t in (0.4, 1.0):
             conf = complex(flow_conformal(ff, z, t))
             assert flow_ode(ff, z, t) == pytest.approx(conf, abs=1e-6)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.3])
+def test_power_flows_match_mpmath_closed_form(rho):
+    mp = pytest.importorskip("mpmath")
+    ff = build_fal2(parse_named_form(f"negPow({rho})"))
+    c, e = ff.power
+    zs = np.array([complex(x, y) for x in range(-3, 4)
+                   for y in (0.1, 0.5, 1.5, 3.0)])
+    for t in (0.25, 1.0, 2.0):
+        # F^(1-e) = z^(1-e) - (1-e) c t, the root's angle lifted to (0, 2 pi]
+        with mp.workdps(30):
+            q = 1 - mp.mpf(e)
+            ref = []
+            for z in zs:
+                v = mp.power(mp.mpc(z.real, z.imag), q) - q * mp.mpf(c) * t
+                theta = mp.arg(v)
+                if theta <= 0:
+                    theta += 2 * mp.pi
+                ref.append(complex(abs(v) ** (1 / q) * mp.expj(theta / q)))
+        ref = np.array(ref)
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(flow_conformal(ff, zs, t) - ref) / scale) <= 4e-15
+        assert np.max(np.abs(flow_ode(ff, zs, t) - ref) / scale) <= 1e-8
 
 
 # -- inverse flow ------------------------------------------------------------------

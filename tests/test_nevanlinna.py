@@ -7,7 +7,8 @@ from freeflow.errors import (DomainError, EvaluatorFailure,
                              ExtrapolationUnstable, NotNevanlinna)
 from freeflow.measures import Measure, dirac, semicircle_measure
 from freeflow.nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
-                                 RationalNevanlinna, const_fn, constant_spec,
+                                 RationalNevanlinna, _principal_power,
+                                 const_fn, constant_spec,
                                  halfplane_grid, is_nevanlinna_numeric,
                                  neg_pow, parse_named_form, pow_fn,
                                  rational_to_canonical, recover_parameters,
@@ -276,6 +277,25 @@ def test_power_form_validation():
         PowerForm(1.0, 0.5)
     with pytest.raises(ValueError):
         PowerForm(-1.0, 1.5)
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5, 1.5, 1 / 3, 0.9, -0.9, 2.0, -1.0])
+def test_principal_power_matches_mpmath(p):
+    mp = pytest.importorskip("mpmath")
+    # |z| from 1e-6 to 1e6, arg z in (0, pi) and within 1e-14 of both ends
+    thetas = np.concatenate([[1e-14, 1e-7], np.linspace(0.05, 3.09, 16),
+                             [math.pi - 1e-7, math.pi - 1e-14]])
+    r, th = np.meshgrid(np.logspace(-6, 6, 20), thetas)
+    zs = (r * np.exp(1j * th)).ravel()
+    out = _principal_power(zs, p)
+    with mp.workdps(30):
+        ref = [mp.power(mp.mpc(z.real, z.imag), p) for z in zs]
+        rel = [abs(mp.mpc(o.real, o.imag) - v) / abs(v)
+               for o, v in zip(out, ref)]
+    assert max(rel) <= 2e-15
+    # a 0-d call rounds as its lane of the array call, bit for bit
+    for z, o in zip(zs, out):
+        assert np.asarray(_principal_power(z, p)).tobytes() == o.tobytes()
 
 
 def test_constant_spec_complex():
