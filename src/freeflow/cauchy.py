@@ -18,7 +18,6 @@ from .errors import (DomainError, FreeflowError, NewtonDivergence,
                      OutsideInversionDomain)
 from .measures import Measure
 from .nevanlinna import AnalyticFn, boundary_density, to_analytic
-from .quadrature import DEFAULT_ABS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -29,15 +28,15 @@ class CauchySampler:
     """Evaluator for G on C \\ R, backed by a Measure or a supplied function.
 
     Function-backed samplers declared on the upper half-plane are extended
-    below the axis by the reflection G(conj zeta) = conj G(zeta).
+    below the axis by the reflection G(conj zeta) = conj G(zeta).  Every
+    integral over a measure runs at the quadrature's DEFAULT_ABS_TOL.
     """
 
-    def __init__(self, source, *, abs_tol: float = DEFAULT_ABS_TOL):
-        self.abs_tol = abs_tol
+    def __init__(self, source):
         if isinstance(source, Measure):
             self.measure: Measure | None = source
             self.fn: AnalyticFn | None = None
-            mass = source.total_mass(abs_tol=min(abs_tol, 1e-8))
+            mass = source.total_mass()
             if abs(mass - 1.0) > 1e-6:
                 raise ValueError(
                     f"Cauchy transform needs a probability measure "
@@ -62,8 +61,7 @@ class CauchySampler:
                 return 1.0 / (flat[:, None] - u[None, :])
 
             return np.asarray(self.measure.integrate(
-                kernel, abs_tol=self.abs_tol,
-                closed=("b", lambda e, b: e.cauchy(flat, b)))
+                kernel, closed=("b", lambda e, b: e.cauchy(flat, b)))
             ).reshape(zetas.shape)
         upper = np.where(zetas.imag >= 0, zetas, np.conj(zetas))
         vals = self.fn.eval_array(upper)
@@ -77,7 +75,6 @@ class CauchySampler:
         flat = zetas.ravel()
         d = np.asarray(self.measure.integrate(
             lambda u: -1.0 / (flat[:, None] - np.asarray(u)[None, :]) ** 2,
-            abs_tol=self.abs_tol,
             closed=("b", lambda e, b: e.cauchy_prime(flat, b)))
         ).reshape(zetas.shape)
         return d if d.shape else complex(d)
@@ -103,8 +100,7 @@ class InversionDomain:
                 and abs(z) >= self.lam)
 
 
-def _invert_f(g: CauchySampler, z, *, rtol: float = 1e-12,
-              max_iter: int = 80):
+def _invert_f(g: CauchySampler, z, *, max_iter: int = 80):
     """Solve F(w) = z for w in C+ (F = 1/G), seeded at the asymptote w = z.
 
     Over an array of z every point is one Newton lane and a lane that
@@ -118,29 +114,30 @@ def _invert_f(g: CauchySampler, z, *, rtol: float = 1e-12,
 
     return newton_halfplane(
         lambda w, lanes: 1.0 / g.eval_array(w) - targets[lanes], derivative,
-        z, rtol=rtol, scale=np.abs(z), max_iter=max_iter)
+        z, scale=np.abs(z), max_iter=max_iter)
 
 
-def voiculescu_transform(source, z: complex, *, domain: InversionDomain | None = None,
-                         abs_tol: float = DEFAULT_ABS_TOL) -> complex:
+def voiculescu_transform(source, z: complex, *,
+                         domain: InversionDomain | None = None) -> complex:
     """phi(z) = F^(-1)(z) - z via damped Newton on w -> 1/G(w)."""
     z = complex(z)
     if domain is not None and not domain.contains(z):
         raise OutsideInversionDomain(f"{z} outside Gamma({domain.gamma}, {domain.lam})")
-    g = source if isinstance(source, CauchySampler) else CauchySampler(source, abs_tol=abs_tol)
+    g = source if isinstance(source, CauchySampler) else CauchySampler(source)
     w = _invert_f(g, z)
     return w - z
 
 
 _LAM_MAX = 4096.0
+# the half-opening of the cone the probe reports
+_GAMMA = 1.0
 
 
-def estimate_inversion_domain(source, *, probe: str = "F",
-                              gamma: float = 1.0) -> InversionDomain:
+def estimate_inversion_domain(source, *, probe: str = "F") -> InversionDomain:
     """Probe where Newton inversion converges from the asymptotic seed.
 
     Doubles lambda, up to _LAM_MAX, until the three boundary rays of
-    Gamma(gamma, lam) invert, all three in one lane solve.  probe "F"
+    Gamma(_GAMMA, lam) invert, all three in one lane solve.  probe "F"
     inverts F = 1/G of the law `source` (a Measure or a CauchySampler);
     probe "subordination" solves w + phi(w) = zeta for the generator
     phi = `source`, as semigroup_marginal does.  The constants are
@@ -150,7 +147,7 @@ def estimate_inversion_domain(source, *, probe: str = "F",
         raise ValueError(f"unknown probe {probe!r}")
     if probe == "F" and not isinstance(source, CauchySampler):
         source = CauchySampler(source)
-    t = gamma / math.hypot(1.0, gamma)
+    t = _GAMMA / math.hypot(1.0, _GAMMA)
     rays = np.array([1j, (t + 1j) / abs(t + 1j), (-t + 1j) / abs(-t + 1j)])
     lam = 1.0
     while lam <= _LAM_MAX:
@@ -161,10 +158,10 @@ def estimate_inversion_domain(source, *, probe: str = "F",
         except FreeflowError:  # an unevaluable probe fails like divergence
             ws = np.nan
         if not np.any(np.isnan(ws)):
-            return InversionDomain(gamma, lam)
+            return InversionDomain(_GAMMA, lam)
         lam *= 2.0
     raise NewtonDivergence(
-        f"no inversion domain found with gamma={gamma} up to lam={_LAM_MAX}")
+        f"no inversion domain found with gamma={_GAMMA} up to lam={_LAM_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +206,10 @@ def free_convolve(phi1, phi2) -> AnalyticFn:
     """Pointwise sum of Voiculescu transforms (linearisation of boxplus)."""
     f1, f2 = to_analytic(phi1), to_analytic(phi2)
     return AnalyticFn(lambda z: f1.eval_array(z) + f2.eval_array(z),
-                      derivative=lambda z: f1.diff(z) + f2.diff(z),
-                      name="sum")
+                      derivative=lambda z: f1.diff(z) + f2.diff(z))
 
 
-def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
+def subordinate(phi, zeta, t: float = 1.0):
     """Solve w + t phi(w) = zeta for w in C+.
 
     Every lane is seeded by FIXED_POINT_STEPS iterates of
@@ -241,7 +237,7 @@ def subordinate(phi, zeta, t: float = 1.0, *, rtol: float = 1e-12):
         w = newton_halfplane(
             lambda v, lanes: v + t * fn.eval_array(v) - flat[lanes],
             lambda v: 1.0 + t * fn.diff(v),
-            w, rtol=rtol, scale=np.abs(flat))
+            w, scale=np.abs(flat))
     if zetas.shape:
         return w.reshape(zetas.shape)
     if np.isnan(w[0]):

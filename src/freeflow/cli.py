@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -58,21 +57,20 @@ def _parse_complex(text: str) -> complex:
         raise FreeflowError(f"cannot parse complex number {text!r}") from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """One row per entry of the numeric columns, each value written .12g;
-    a row holding a non-finite value writes it as nan and is flagged."""
-    table = np.asarray(columns, dtype=float).reshape(len(header), -1).T
-    finite = np.isfinite(table)
-    flags = np.where(finite.all(axis=1), "", "nonfinite").tolist()
-    line = ",".join(["{:.12g}"] * len(header)) + ",{}\r\n"
+    """One row per entry of the columns: text as it is, each number .12g;
+    a row holding a non-finite number writes it as nan and is flagged."""
+    cols = [np.asarray(c) for c in columns]
+    text = [c.dtype.kind == "U" for c in cols]
+    nums = np.array([c for c, t in zip(cols, text) if not t], dtype=float)
+    finite = np.isfinite(nums)
+    flags = np.where(finite.all(axis=0), "", "nonfinite").tolist()
+    nums = iter(np.where(finite, nums, np.nan).tolist())
+    cells = [c.tolist() if t else next(nums) for c, t in zip(cols, text)]
+    line = ",".join("{}" if t else "{:.12g}" for t in text) + ",{}\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header + ["flag"]) + "\r\n")
-        fh.writelines(line.format(*row, flag) for row, flag in
-                      zip(np.where(finite, table, np.nan).tolist(), flags))
+        fh.writelines(line.format(*row) for row in zip(*cells, flags))
 
 
 def _json_safe(v):
@@ -202,7 +200,7 @@ def _cmd_conformal_image(args) -> int:
         # the slit description assumes a < 0; only the boundary trace is
         # emitted for a = 0
         slits = []
-    _write_csv(args.out, ["height", "tip"], np.transpose(slits))
+    _write_csv(args.out, ["height", "tip"], np.reshape(slits, (-1, 2)).T)
     pair = ConformalPair.from_psi(form)
     delta = 1e-4
     boundary = []
@@ -219,33 +217,21 @@ def _cmd_conformal_image(args) -> int:
 
 
 def _cmd_flowlines(args) -> int:
-    form = parse_named_form(args.psi)
-    pair = ConformalPair.from_psi(form)
+    pair = ConformalPair.from_psi(parse_named_form(args.psi))
     re_grid = _parse_grid(args.grid)
-    rows = []
-    im_levels = np.linspace(args.im_min, args.im_max, args.im_lines)
-    for level in im_levels:
-        zs = re_grid + 1j * level
-        vals = np.asarray(pair.Psi(zs.astype(complex)))
-        rows += [("im", float(level), float(z.real), float(z.imag),
-                  float(w.real), float(w.imag)) for z, w in zip(zs, vals)]
-    re_levels = np.linspace(float(re_grid[0]), float(re_grid[-1]),
-                            args.re_lines)
-    im_grid = np.linspace(max(args.im_min, 1e-3), args.im_max,
-                          len(re_grid))
-    for level in re_levels:
-        zs = level + 1j * im_grid
-        vals = np.asarray(pair.Psi(zs.astype(complex)))
-        rows += [("re", float(level), float(z.real), float(z.imag),
-                  float(w.real), float(w.imag)) for z, w in zip(zs, vals)]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "level", "re_z", "im_z", "re_w", "im_w",
-                         "flag"])
-        for kind, level, rz, iz, rw, iw in rows:
-            finite = all(math.isfinite(v) for v in (level, rz, iz, rw, iw))
-            writer.writerow([kind] + [_fmt(v) for v in (level, rz, iz, rw, iw)]
-                            + ["" if finite else "nonfinite"])
+    im_grid = np.linspace(max(args.im_min, 1e-3), args.im_max, len(re_grid))
+    lines = [("im", y, re_grid + 1j * y) for y in
+             np.linspace(args.im_min, args.im_max, args.im_lines)]
+    lines += [("re", x, x + 1j * im_grid) for x in
+              np.linspace(re_grid[0], re_grid[-1], args.re_lines)]
+    kind, level, zs = (np.array([ln[k] for ln in lines]) for k in range(3))
+    # one Psi call per line: the generic Psi refines its quadrature on the
+    # error of the whole batch, so a merged call could change digits
+    ws = np.array([pair.Psi(z) for z in zs]).ravel()
+    zs, n = zs.ravel(), len(re_grid)
+    _write_csv(args.out, ["kind", "level", "re_z", "im_z", "re_w", "im_w"],
+               [kind.repeat(n), level.repeat(n), zs.real, zs.imag, ws.real,
+                ws.imag])
     _manifest(args, args.out, {})
     return 0
 

@@ -21,8 +21,7 @@ from .errors import (DomainError, NotContaining, OutsideImage, PoleOnPath,
 from .measures import Measure
 from .nevanlinna import (AnalyticFn, NevanlinnaSpec, PowerForm,
                          RationalNevanlinna, _principal_power,
-                         rational_to_canonical, spec_fn, to_analytic)
-from .quadrature import DEFAULT_ABS_TOL
+                         rational_to_canonical, to_analytic)
 
 # fixed-point iterates behind the asymptotic Newton seed: from the bare root
 # of the leading term, Newton leaves 1,330 of the 4,480 points of
@@ -48,33 +47,31 @@ class ConformalPair:
     psi_form: object
     kind: str
     normalization: complex = 0.0
-    abs_tol: float = DEFAULT_ABS_TOL
     _psi_fn: AnalyticFn = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._psi_fn = (spec_fn(self.psi_form, abs_tol=self.abs_tol)
-                        if self.kind == "generic" else to_analytic(self.psi_form))
+        self._psi_fn = to_analytic(self.psi_form)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_psi(cls, psi, *, abs_tol: float = DEFAULT_ABS_TOL) -> "ConformalPair":
+    def from_psi(cls, psi) -> "ConformalPair":
         if isinstance(psi, (int, float, complex)):
             c = complex(psi)
             if c == 0:
                 raise ValueError("psi = 0 has no univalent primitive")
             if c.imag > 0:
                 raise ValueError("a Nevanlinna constant needs Im c <= 0")
-            return cls(c, "constant", abs_tol=abs_tol)
+            return cls(c, "constant")
         if isinstance(psi, PowerForm):
-            return cls(psi, "power", abs_tol=abs_tol)
+            return cls(psi, "power")
         if isinstance(psi, RationalNevanlinna):
             if not psi.poles and psi.a == 0.0:
-                return cls(complex(psi.b), "constant", abs_tol=abs_tol)
-            return cls(psi, "rational", abs_tol=abs_tol)
+                return cls(complex(psi.b), "constant")
+            return cls(psi, "rational")
         if isinstance(psi, NevanlinnaSpec):
             if psi.alpha == 0.0 and psi.nu.is_empty:
-                return cls(complex(psi.beta), "constant", abs_tol=abs_tol)
+                return cls(complex(psi.beta), "constant")
             if not psi.nu.pieces:
                 # atoms-only measures are rational: use the closed form
                 poles = tuple(a.position for a in psi.nu.atoms)
@@ -84,8 +81,8 @@ class ConformalPair:
                 b = psi.beta + sum(a.mass * a.position for a in atoms)
                 r = RationalNevanlinna(psi.alpha, b,
                                        tuple(a.position for a in atoms), res)
-                return cls(r, "rational", abs_tol=abs_tol)
-            return cls(psi, "generic", abs_tol=abs_tol)
+                return cls(r, "rational")
+            return cls(psi, "generic")
         raise TypeError(f"unsupported psi description {type(psi).__name__}")
 
     # -- psi and Psi --------------------------------------------------------
@@ -129,7 +126,7 @@ class ConformalPair:
                         - (flat - 1j) * e.cauchy(1j, c).real)
             acc = acc + spec.nu.integrate(
                 lambda u: _kernel_primitive(flat[:, None], u),
-                abs_tol=self.abs_tol, closed=("c", closed))
+                closed=("c", closed))
         return -acc.reshape(z.shape)
 
     def Psi(self, z):
@@ -137,10 +134,6 @@ class ConformalPair:
         z = np.asarray(z, dtype=complex)
         out = self._psi_raw(z) + self.normalization
         return out if out.shape else complex(out)
-
-    def psi_prime_of_Psi(self, z):
-        """d/dz Psi = -psi; the Newton derivative for inversion."""
-        return -self.psi(z)
 
     # -- inversion -----------------------------------------------------------
 
@@ -195,10 +188,10 @@ class ConformalPair:
     def _solve(self, w: np.ndarray, seed: np.ndarray) -> np.ndarray:
         """One lane-wise Newton solve Psi(z) = w; NaN where a lane fails."""
         # the generic primitive is a quadrature and carries error near
-        # abs_tol
+        # its absolute tolerance
         rtol = 1e-12 if self.kind == "rational" else 1e-9
         return newton_halfplane(lambda z, lanes: self.Psi(z) - w[lanes],
-                                self.psi_prime_of_Psi, seed, rtol=rtol,
+                                lambda z: -self.psi(z), seed, rtol=rtol,
                                 scale=np.maximum(1.0, np.abs(w)))
 
     def _asymptotic_seed(self, w: np.ndarray) -> np.ndarray:
@@ -218,7 +211,7 @@ class ConformalPair:
         elif self.kind == "generic":
             lead = form.alpha
             if lead == 0:
-                drift = form.beta + form.nu.moment(1, abs_tol=self.abs_tol)
+                drift = form.beta + form.nu.moment(1)
         if lead < 0:
             k, c = 2, -lead
         elif -math.inf < drift < 0:
@@ -323,13 +316,6 @@ class SlitImage:
     """Complement description: half-lines {p + i q_j | p >= p_j}."""
     slits: tuple[tuple[float, float], ...]  # (height q_j, tip p_j)
 
-    def ray_bound(self, q: float, *, tol: float = 1e-9) -> float:
-        """d_Omega-style query: sup of the free ray at height q."""
-        for height, tip in self.slits:
-            if abs(q - height) <= tol:
-                return tip
-        return math.inf
-
 
 def slit_image(r: RationalNevanlinna) -> SlitImage:
     """Heights are -pi * sum of residues to the right; tips minimise Re Psi.
@@ -361,29 +347,23 @@ def slit_image(r: RationalNevanlinna) -> SlitImage:
 
 
 def _bisect_decreasing(f, left: float | None, right: float | None) -> float:
-    """Root of a strictly decreasing f on (left, right), ends may be open."""
-    if left is None and right is None:
-        a, b = -1.0, 1.0
-        while f(a) <= 0:
-            a *= 2.0
-        while f(b) >= 0:
-            b *= 2.0
-    elif left is None:
+    """Root of a strictly decreasing f on (left, right); None is an open end.
+
+    Each end of the bracket is placed from a reference, the other end or 0
+    when that one is open: a closed end steps inside by 1e-12 max(1, its
+    distance to the reference), an open one doubles its gap from the
+    reference until f takes the sign of its side.
+    """
+    def bracket(end, other, side):
+        ref = 0.0 if other is None else other
+        if end is not None:
+            return end + side * 1e-12 * max(1.0, abs(end - ref))
         gap = 1.0
-        b = right - 1e-12 * max(1.0, abs(right))
-        while f(right - gap) <= 0:
+        while side * f(ref - side * gap) <= 0:
             gap *= 2.0
-        a = right - gap
-    elif right is None:
-        gap = 1.0
-        a = left + 1e-12 * max(1.0, abs(left))
-        while f(left + gap) >= 0:
-            gap *= 2.0
-        b = left + gap
-    else:
-        width = right - left
-        a = left + 1e-12 * max(1.0, width)
-        b = right - 1e-12 * max(1.0, width)
+        return ref - side * gap
+
+    a, b = bracket(left, right, 1.0), bracket(right, left, -1.0)
     scale = max(1.0, abs(a), abs(b))
     while b - a > 1e-12 * scale:
         mid = 0.5 * (a + b)
@@ -407,8 +387,7 @@ class ContainmentCertificate:
     condition: str
 
 
-def contains_halfplane_translate(
-        psi, *, abs_tol: float = DEFAULT_ABS_TOL) -> ContainmentCertificate:
+def contains_halfplane_translate(psi) -> ContainmentCertificate:
     """Decide whether Psi(C+) contains a translate of C+.
 
     yes iff [int_0^inf u^2 nu < inf and alpha < 0] or [that moment finite,
@@ -416,16 +395,15 @@ def contains_halfplane_translate(
     tail metadata.
     """
     spec = _canonical(psi)
-    m2_plus = spec.nu.moment(2, positive_part_only=True, abs_tol=abs_tol)
+    m2_plus = spec.nu.moment(2, positive_part_only=True)
     if not math.isfinite(m2_plus):
         return ContainmentCertificate(
             False, m2_plus, spec.alpha, math.nan,
             "second moment of the positive part diverges")
+    drift = spec.beta + spec.nu.moment(1)
     if spec.alpha < 0:
-        return ContainmentCertificate(
-            True, m2_plus, spec.alpha, spec.beta + spec.nu.moment(1, abs_tol=abs_tol),
-            "alpha < 0")
-    drift = spec.beta + spec.nu.moment(1, abs_tol=abs_tol)
+        return ContainmentCertificate(True, m2_plus, spec.alpha, drift,
+                                      "alpha < 0")
     if drift < -1e-9:
         return ContainmentCertificate(True, m2_plus, spec.alpha, drift,
                                       "alpha = 0 and drift < 0")

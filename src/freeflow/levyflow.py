@@ -159,8 +159,7 @@ def build_fal2(psi) -> FlowField:
             f"the image of the primitive contains no half-plane translate "
             f"({cert.condition})", certificate=cert)
     pair = normalize_for_halfplane(ConformalPair.from_psi(psi))
-    phi = AnalyticFn(lambda ws: pair.psi(_no_nan(pair.Phi(ws), ws)),
-                     name="psi-o-Phi")
+    phi = AnalyticFn(lambda ws: pair.psi(_no_nan(pair.Phi(ws), ws)))
     ff = FlowField(phi, "psi-pair", pair=pair, certificate=cert)
     # every phi evaluation is a Newton inversion here, so the invariant
     # check runs on a reduced grid; closed forms get the full one

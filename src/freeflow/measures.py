@@ -7,7 +7,6 @@ quadrature is attempted.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ class DensityPiece:
     hi: float
     density: Callable[[np.ndarray], np.ndarray]
     tail_exponent: float | None = None
-    label: str | None = None
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -265,7 +263,7 @@ class Measure:
         pieces = tuple(
             DensityPiece(p.lo, p.hi,
                          (lambda u, _d=p.density, _c=c: _c * np.asarray(_d(u))),
-                         p.tail_exponent, None)
+                         p.tail_exponent)
             for p in self.pieces)
         return Measure(atoms, pieces)
 
@@ -281,36 +279,15 @@ class Measure:
     def is_empty(self) -> bool:
         return not self.atoms and not self.pieces
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        ac = []
-        for p in self.pieces:
-            if p.label is None:
-                raise ValueError(
-                    "only labelled density pieces can be serialized")
-            entry: dict = {"lo": _num_out(p.lo), "hi": _num_out(p.hi),
-                           "density": p.label}
-            if p.tail_exponent is not None:
-                entry["tailExponent"] = p.tail_exponent
-            if p.label == "table":
-                entry["points"] = getattr(p.density, "table_points")
-            ac.append(entry)
-        return {"atoms": [{"u": a.position, "mass": a.mass} for a in self.atoms],
-                "ac": ac}
+    # -- parsing (a measure is read from a JSON spec, never written) -----
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Measure":
+        """{"atoms": [{"u", "mass"}], "ac": [{"lo", "hi", "density",
+        "tailExponent"?, "points"?}]}, density a builtin name."""
         atoms = tuple(Atom(float(d["u"]), float(d["mass"]))
                       for d in data.get("atoms", ()))
-        pieces = []
-        for entry in data.get("ac", ()):
-            pieces.append(_piece_from_json(entry))
-        return cls(atoms, tuple(pieces))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Measure":
-        return cls.from_json_dict(json.loads(text))
+        return cls(atoms, tuple(_piece_from_json(e) for e in data.get("ac", ())))
 
 
 def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
@@ -338,14 +315,6 @@ def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
         return np.asarray(f(u)) * weight
 
     return adaptive_quad(g_theta, 0.0, math.pi, abs_tol=abs_tol)
-
-
-def _num_out(x: float):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
 
 
 def _num_in(x) -> float:
@@ -390,7 +359,6 @@ def table_density(points: Sequence[Sequence[float]]):
     def dens(u):
         return np.interp(np.asarray(u), us, vs, left=0.0, right=0.0)
 
-    dens.table_points = [[float(a), float(b)] for a, b in pts]
     return dens
 
 
@@ -409,17 +377,14 @@ def _piece_from_json(entry: dict) -> DensityPiece:
     base, args = m.group(1), m.group(2)
     if base == "semicircle":
         t = float(args) if args else 1.0
-        return DensityPiece(lo, hi, semicircle_density(t), tail,
-                            f"semicircle({t:g})")
+        return DensityPiece(lo, hi, semicircle_density(t), tail)
     if base == "sqrtNeg":
-        return DensityPiece(lo, hi, _sqrt_neg, tail if tail is not None else 1.5,
-                            "sqrtNeg")
+        return DensityPiece(lo, hi, _sqrt_neg, tail if tail is not None else 1.5)
     if base == "invSqrtNeg":
         return DensityPiece(lo, hi, _inv_sqrt_neg,
-                            tail if tail is not None else 2.5, "invSqrtNeg")
+                            tail if tail is not None else 2.5)
     if base == "table":
-        dens = table_density(entry["points"])
-        return DensityPiece(lo, hi, dens, tail, "table")
+        return DensityPiece(lo, hi, table_density(entry["points"]), tail)
     raise ValueError(f"unknown builtin density {base!r}")
 
 
@@ -435,8 +400,7 @@ def atomic(pairs: Sequence[tuple[float, float]]) -> Measure:
 
 def semicircle_measure(t: float = 1.0) -> Measure:
     r = 2.0 * math.sqrt(t)
-    return Measure(pieces=(DensityPiece(-r, r, semicircle_density(t),
-                                        None, f"semicircle({t:g})"),))
+    return Measure(pieces=(DensityPiece(-r, r, semicircle_density(t)),))
 
 
 def cauchy_law(scale: float = 1.0) -> Measure:
@@ -444,4 +408,4 @@ def cauchy_law(scale: float = 1.0) -> Measure:
     def dens(u):
         u = np.asarray(u)
         return scale / (math.pi * (scale * scale + u * u))
-    return Measure(pieces=(DensityPiece(-math.inf, math.inf, dens, 2.0, None),))
+    return Measure(pieces=(DensityPiece(-math.inf, math.inf, dens, 2.0),))

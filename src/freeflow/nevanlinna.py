@@ -45,8 +45,8 @@ class NevanlinnaSpec:
         if self.alpha > 0:
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
 
-    def evaluate(self, z: complex, *, abs_tol: float = DEFAULT_ABS_TOL) -> complex:
-        return complex(self.eval_grid(z, abs_tol=abs_tol))
+    def evaluate(self, z: complex) -> complex:
+        return complex(self.eval_grid(z))
 
     def eval_grid(self, zs, *, abs_tol: float = DEFAULT_ABS_TOL) -> np.ndarray:
         """Evaluate on an array of points.
@@ -199,13 +199,13 @@ class AnalyticFn:
     """Carrier for a black-box analytic function.
 
     `evaluator` maps an array of any shape, 0-d included, to an array of
-    the same shape; scalar calls go through it too.  `form` is the
-    PowerForm, RationalNevanlinna or complex constant the evaluator
-    computes, if any; FlowField.from_generator dispatches on it.
+    the same shape; scalar calls go through it too.  `derivative`, if
+    given, is f' in the same convention.  `form` is the PowerForm,
+    RationalNevanlinna or complex constant the evaluator computes, if any;
+    FlowField.from_generator dispatches on it.
     """
     evaluator: Callable
     derivative: Callable | None = None
-    name: str | None = None
     form: PowerForm | RationalNevanlinna | complex | None = None
 
     def __call__(self, z: complex) -> complex:
@@ -215,14 +215,14 @@ class AnalyticFn:
         return np.asarray(self.evaluator(np.asarray(zs, dtype=complex)),
                           dtype=complex)
 
-    def diff(self, z, h: float = 1e-6):
+    def diff(self, z):
         """f' at z (any array shape; a scalar gives a complex): the given
-        derivative, else a central difference with step h max(1, |z|)."""
+        derivative, else a central difference with step 1e-6 max(1, |z|)."""
         z = np.asarray(z, dtype=complex)
         if self.derivative is not None:
             d = np.asarray(self.derivative(z), dtype=complex)
         else:
-            step = h * np.maximum(1.0, np.abs(z))
+            step = 1e-6 * np.maximum(1.0, np.abs(z))
             d = (self.eval_array(z + step)
                  - self.eval_array(z - step)) / (2.0 * step)
         return d if d.shape else complex(d)
@@ -232,29 +232,23 @@ def const_fn(c: complex) -> AnalyticFn:
     c = complex(c)
     return AnalyticFn(lambda z: c * np.ones_like(z),
                       derivative=lambda z: 0.0 * np.asarray(z, dtype=complex),
-                      name=f"const({c.real:g},{c.imag:g})", form=c)
+                      form=c)
 
 
 def neg_pow(rho: float) -> AnalyticFn:
-    form = PowerForm(-1.0, float(rho))
-    return AnalyticFn(form.evaluate, derivative=form.derivative,
-                      name=f"negPow({rho:g})", form=form)
+    return to_analytic(PowerForm(-1.0, float(rho)))
 
 
 def pow_fn(theta: float) -> AnalyticFn:
-    form = PowerForm(1.0, float(theta))
-    return AnalyticFn(form.evaluate, derivative=form.derivative,
-                      name=f"pow({theta:g})", form=form)
+    return to_analytic(PowerForm(1.0, float(theta)))
 
 
 def rational_fn(r: RationalNevanlinna) -> AnalyticFn:
-    return AnalyticFn(r.evaluate, derivative=r.derivative, name="rational",
-                      form=r)
+    return to_analytic(r)
 
 
 def spec_fn(spec: NevanlinnaSpec, *, abs_tol: float = DEFAULT_ABS_TOL) -> AnalyticFn:
-    return AnalyticFn(lambda zs: spec.eval_grid(zs, abs_tol=abs_tol),
-                      name="nevanlinna-spec")
+    return AnalyticFn(lambda zs: spec.eval_grid(zs, abs_tol=abs_tol))
 
 
 def to_analytic(obj) -> AnalyticFn:
@@ -265,12 +259,8 @@ def to_analytic(obj) -> AnalyticFn:
     """
     if isinstance(obj, AnalyticFn):
         return obj
-    if isinstance(obj, PowerForm):
-        return AnalyticFn(obj.evaluate, derivative=obj.derivative,
-                          name=f"power({obj.coeff:g},{obj.exponent:g})",
-                          form=obj)
-    if isinstance(obj, RationalNevanlinna):
-        return rational_fn(obj)
+    if isinstance(obj, (PowerForm, RationalNevanlinna)):
+        return AnalyticFn(obj.evaluate, derivative=obj.derivative, form=obj)
     if isinstance(obj, NevanlinnaSpec):
         return spec_fn(obj)
     if isinstance(obj, (int, float, complex)):
@@ -371,7 +361,7 @@ def is_nevanlinna_numeric(f, grid=None) -> Verdict:
 _OCTAVE_DECAY = 0.98
 
 
-def vanishing_at_infinity(fn: AnalyticFn, *, tol: float = 1e-4) -> bool:
+def vanishing_at_infinity(fn: AnalyticFn) -> bool:
     """Numeric test of phi(iy)/(iy) -> 0 along a dyadic ladder.
 
     A fixed-height threshold alone misclassifies slowly decaying generators
@@ -383,7 +373,7 @@ def vanishing_at_infinity(fn: AnalyticFn, *, tol: float = 1e-4) -> bool:
     vals = np.abs(fn.eval_array(1j * ys) / (1j * ys))
     if not np.all(np.isfinite(vals)):
         return False
-    if vals[-1] <= tol:
+    if vals[-1] <= 1e-4:
         return True
     ratios = vals[1:] / vals[:-1]
     return bool(np.all(ratios < 1.0)) and vals[-1] <= 0.5 * vals[0] \
@@ -476,25 +466,9 @@ def recover_parameters(f, *, u_grid=None, eps: float = 1e-3) -> RecoveryResult:
     clipped = np.clip(density, 0.0, None)
     nu_hat = Measure(pieces=(DensityPiece(
         float(grid[0]), float(grid[-1]),
-        table_density(list(zip(grid.tolist(), clipped.tolist()))),
-        None, "table"),))
+        table_density(list(zip(grid.tolist(), clipped.tolist())))),))
     return RecoveryResult(alpha_hat, beta_hat, nu_hat, grid, density, mass,
                           implied, deficit, tuple(flags))
-
-
-def validate_derivative(fn: AnalyticFn, rng: np.random.Generator,
-                        n: int = 20, rel_tol: float = 1e-5) -> bool:
-    """Check a declared derivative against central differences."""
-    if fn.derivative is None:
-        return True
-    for _ in range(n):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.3, 3))
-        h = 1e-5 * max(1.0, abs(z))
-        fd = (fn(z + h) - fn(z - h)) / (2 * h)
-        dv = complex(fn.derivative(z))
-        if abs(dv - fd) > rel_tol * max(1.0, abs(dv)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +506,7 @@ def parse_named_form(text: str):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        return form_from_json(data)
+        return form_from_json(json.loads(text))
     m = _CALL_RE.match(text)
     if not m:
         raise ValueError(f"unrecognized function spec {text!r}")
@@ -550,20 +523,36 @@ def parse_named_form(text: str):
         for item in _split_args(body):
             key, _, val = item.partition("=")
             kwargs[key.strip()] = json.loads(val)
-        return RationalNevanlinna(
-            float(kwargs.get("a", 0.0)), float(kwargs.get("b", 0.0)),
-            tuple(kwargs.get("poles", ())), tuple(kwargs.get("residues", ())))
+        return _rational_from(kwargs)
     raise ValueError(f"unknown function constructor {head!r}")
 
 
 def form_from_json(data: dict):
+    """alpha/beta/nu keys give a NevanlinnaSpec, a/b/poles/residues a
+    RationalNevanlinna; a missing key or a malformed value raises
+    ValueError naming it."""
     if "alpha" in data:
-        return NevanlinnaSpec(float(data["alpha"]), float(data["beta"]),
-                              Measure.from_json_dict(data["nu"]))
+        return _built(data, lambda: NevanlinnaSpec(
+            float(data["alpha"]), float(data["beta"]),
+            Measure.from_json_dict(data["nu"])))
     if "poles" in data or "a" in data:
-        return RationalNevanlinna(float(data.get("a", 0.0)),
-                                  float(data.get("b", 0.0)),
-                                  tuple(data.get("poles", ())),
-                                  tuple(data.get("residues", ())))
+        return _rational_from(data)
     raise ValueError("JSON object is neither a NevanlinnaSpec nor a "
                      "RationalNevanlinna")
+
+
+def _rational_from(data: dict) -> RationalNevanlinna:
+    return _built(data, lambda: RationalNevanlinna(
+        float(data.get("a", 0.0)), float(data.get("b", 0.0)),
+        tuple(data.get("poles", ())), tuple(data.get("residues", ()))))
+
+
+def _built(data: dict, make):
+    """make(), with a key missing from data or a value of the wrong type
+    raised as ValueError."""
+    try:
+        return make()
+    except (KeyError, TypeError, AttributeError) as exc:
+        problem = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"bad function spec {json.dumps(data)}: "
+                         f"{problem}") from None

@@ -134,18 +134,6 @@ def _half_line(f, end: float, sign: float, abs_tol: float,
             + adaptive_quad(g, 0.0, 1.0, abs_tol=abs_tol / 2, **kw))
 
 
-def quad_right_tail(f, lo: float, *, abs_tol: float = DEFAULT_ABS_TOL,
-                    tail_exponent: float | None = None, **kw):
-    """Integrate f ~ u^-tail_exponent over [lo, +inf); see _half_line."""
-    return _half_line(f, lo, 1.0, abs_tol, tail_exponent, kw)
-
-
-def quad_left_tail(f, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL,
-                   tail_exponent: float | None = None, **kw):
-    """Integrate f over (-inf, hi]; mirror of quad_right_tail."""
-    return _half_line(f, hi, -1.0, abs_tol, tail_exponent, kw)
-
-
 def quad_interval(f, lo: float, hi: float, *, abs_tol: float = DEFAULT_ABS_TOL,
                   tail_exponent: float | None = None, **kw):
     """Integrate f over an interval that may be unbounded on either side,

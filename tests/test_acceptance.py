@@ -183,8 +183,7 @@ def test_criterion_8_univalence_suite():
             ConformalPair.from_psi(PowerForm(1.0, -0.5)),
             ConformalPair.from_psi(-1j),
             ConformalPair.from_psi(
-                NevanlinnaSpec(-0.5, 0.2, semicircle_measure(1.0).scaled(0.3)),
-                abs_tol=1e-8),
+                NevanlinnaSpec(-0.5, 0.2, semicircle_measure(1.0).scaled(0.3))),
         ]
         for pair in pairs:
             z1 = RNG.uniform(-3, 3, 500) + 1j * RNG.uniform(0.05, 3, 500)

