@@ -18,6 +18,7 @@ DAMPING = 0.5
 MAX_DAMP = 45
 # magnitudes at or above this count as overflow
 _HUGE = 1e300
+_NO_LANES = np.empty(0, dtype=np.intp)
 
 
 def newton_halfplane(residual, derivative, seed, *, rtol: float = 1e-12,
@@ -83,10 +84,11 @@ def _iterate(residual, derivative, w, tol, max_iter):
         fc = _probe(residual, cand, lanes)
         afc = np.abs(fc)
         accept = (afc < _HUGE) & ((afc < af) | (afc <= t))
-        pending = np.flatnonzero(~accept)
-        if not pending.size:
+        pending = _NO_LANES
+        if accept.all():
             z, f, af = cand, fc, afc
         else:
+            pending = np.flatnonzero(~accept)
             z, f, af = (np.where(accept, cand, z), np.where(accept, fc, f),
                         np.where(accept, afc, af))
             # damped steps, over the lanes whose full step was refused
@@ -105,6 +107,10 @@ def _iterate(residual, derivative, w, tol, max_iter):
                     break
         # lanes still pending are out of damping and fail
         converged = af <= t
+        if not pending.size and converged.all():
+            w[lanes] = z
+            done[lanes] = True
+            return done
         if pending.size or converged.any():
             w[lanes] = z
             done[lanes[converged]] = True

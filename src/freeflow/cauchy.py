@@ -147,8 +147,9 @@ def estimate_inversion_domain(source, *, probe: str = "F") -> InversionDomain:
         raise ValueError(f"unknown probe {probe!r}")
     if probe == "F" and not isinstance(source, CauchySampler):
         source = CauchySampler(source)
-    t = _GAMMA / math.hypot(1.0, _GAMMA)
-    rays = np.array([1j, (t + 1j) / abs(t + 1j), (-t + 1j) / abs(-t + 1j)])
+    # the axis and the two sides |Re z| = gamma Im z, as unit vectors
+    rays = np.array([1j, (_GAMMA + 1j) / abs(_GAMMA + 1j),
+                     (-_GAMMA + 1j) / abs(-_GAMMA + 1j)])
     lam = 1.0
     while lam <= _LAM_MAX:
         zs = 1.05 * lam * rays

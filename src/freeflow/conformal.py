@@ -112,8 +112,9 @@ class ConformalPair:
         K(z, u) is the primitive of the canonical kernel (1 + u s)/(s - u)
         from i to z.  A smooth finite piece of nu contributes
         (z - i) m1 + L(z) - L(i) in closed form, L the log integral of
-        (1 + u^2) rho and m1 = -Re C(i) as in eval_grid; atoms and the
-        other pieces share one quadrature over the whole grid.
+        (1 + u^2) rho and m1 = -Re C(i) as in eval_grid; L(i) and Re C(i)
+        are cached on the piece's ChebyshevU expansion (`at_i`).  Atoms and
+        the other pieces share one quadrature over the whole grid.
         """
         spec: NevanlinnaSpec = self.psi_form
         if np.any(z.imag <= 0):
@@ -121,9 +122,9 @@ class ConformalPair:
         flat = z.ravel()
         acc = 0.5 * spec.alpha * (flat ** 2 + 1.0) + spec.beta * (flat - 1j)
         if not spec.nu.is_empty:
-            def closed(e, c):
-                return (e.log_cauchy(flat, c) - e.log_cauchy(1j, c)
-                        - (flat - 1j) * e.cauchy(1j, c).real)
+            def closed(e, _):
+                log_i, re_c_i = e.at_i
+                return e.log_cauchy(flat) - log_i - (flat - 1j) * re_c_i
             acc = acc + spec.nu.integrate(
                 lambda u: _kernel_primitive(flat[:, None], u),
                 closed=("c", closed))
@@ -155,12 +156,14 @@ class ConformalPair:
             z = self._phi_power(ws - self.normalization)
         else:
             flat = ws.ravel()
-            seeds = np.broadcast_to(np.asarray(
-                complex("nan") if seed is None else seed, dtype=complex),
-                ws.shape).flatten()
-            missing = np.isnan(seeds)
-            if missing.any():
-                seeds[missing] = self._asymptotic_seed(flat[missing])
+            if seed is None:
+                seeds = self._asymptotic_seed(flat)
+            else:
+                seeds = np.broadcast_to(np.asarray(seed, dtype=complex),
+                                        ws.shape).flatten()
+                missing = np.isnan(seeds)
+                if missing.any():
+                    seeds[missing] = self._asymptotic_seed(flat[missing])
             z = self._solve(flat, seeds)
             bad = np.isnan(z)
             if bad.any():
@@ -226,16 +229,16 @@ class ConformalPair:
         # a root on or below the real axis is lifted just above it
         z = np.where(z.imag > 0, z, z.real + 1e-3j)
         live = np.arange(w.size)
-        for _ in range(SEED_ITERATES):
-            zl = z[live]
-            try:
-                with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            for _ in range(SEED_ITERATES):
+                zl = z[live]
+                try:
                     new = root(w[live] - self.Psi(zl) + c * zl ** k / k)
-            except QuadratureFailure:
-                break
-            keep = new.imag > 0
-            z[live[keep]] = new[keep]
-            live = live[keep]
+                except QuadratureFailure:
+                    break
+                keep = new.imag > 0
+                z[live[keep]] = new[keep]
+                live = live[keep]
         return z
 
     def _phi_continuation(self, w: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import MissingTailMetadata
 from .quadrature import DEFAULT_ABS_TOL, adaptive_quad, quad_interval
@@ -78,8 +77,9 @@ class ChebyshevU:
     a Cauchy-type integral over the piece is a power series in J (Olver and
     Nadakuditi, arXiv:1203.1958): O(len(a)) work per point however close z
     is to the support.  tail bounds the truncation error of cauchy and of
-    log_cauchy(z) - log_cauchy(i) over either weight; tail_b, the smaller
-    bound over b alone, leaves out the factor 1 + max u^2 that c carries.
+    log_cauchy(z) - log_cauchy(i); tail_b, the smaller bound over b alone,
+    leaves out the factor 1 + max u^2 that c carries.  The terms free of z,
+    log_series and at_i, are cached on the expansion at their first use.
     """
     lo: float
     hi: float
@@ -128,23 +128,41 @@ class ChebyshevU:
     def cauchy(self, z, a: np.ndarray):
         """int w(u)/(z - u) du = pi sum_k a_k J^(k+1); a is b or c."""
         j, _ = self._joukowski(z)
-        return math.pi * j * polyval(j, a)
+        return math.pi * j * _horner(j, a)
 
     def cauchy_prime(self, z, a: np.ndarray):
         """d/dz of cauchy(z, a), from dJ/dzeta = -J/root."""
         j, root = self._joukowski(z)
-        return (-2.0 * math.pi / (self.hi - self.lo)) * (j / root) * polyval(
+        return (-2.0 * math.pi / (self.hi - self.lo)) * (j / root) * _horner(
             j, a * np.arange(1, a.size + 1))
 
-    def log_cauchy(self, z, a: np.ndarray):
-        """int w(u) log(z - u) du, up to a constant: (pi half/2) times
-        a_0 (J^2/2 - log J) + sum_k>=1 a_k (J^(k+2)/(k+2) - J^k/k)."""
+    def log_cauchy(self, z):
+        """L(z) = int (1 + u^2) rho(u) log(z - u) du, up to a constant:
+        (pi half/2) times c_0 (J^2/2 - log J) + sum_k>=1 c_k (J^(k+2)/(k+2)
+        - J^k/k), one series in J with the coefficients log_series."""
         j, _ = self._joukowski(z)
-        # the coefficient of J^m, m >= 1, is (a_(m-2) - a_m)/m
-        padded = np.concatenate([[0.0, 0.0], a, [0.0, 0.0]])
-        e = (padded[1:-2] - padded[3:]) / np.arange(1, a.size + 2)
         return (0.25 * math.pi * (self.hi - self.lo)) * (
-            j * polyval(j, e) - a[0] * np.log(j))
+            j * _horner(j, self.log_series) - self.c[0] * np.log(j))
+
+    @cached_property
+    def log_series(self) -> np.ndarray:
+        """(c_(m-2) - c_m)/m, the coefficient of J^m in log_cauchy, m >= 1."""
+        padded = np.concatenate([[0.0, 0.0], self.c, [0.0, 0.0]])
+        return (padded[1:-2] - padded[3:]) / np.arange(1, self.c.size + 2)
+
+    @cached_property
+    def at_i(self) -> tuple[complex, float]:
+        """(L(i), Re C(i)) over c: the generic Psi's anchor, and -int u rho."""
+        return self.log_cauchy(1j), self.cauchy(1j, self.c).real
+
+
+def _horner(x, a: np.ndarray):
+    """sum_k a_k x^k by Horner's rule, the operations and order of numpy's
+    polyval: a[-1] + x*0, then a[-i] + acc*x."""
+    acc = a[-1] + x * 0
+    for i in range(2, a.size + 1):
+        acc = a[-i] + acc * x
+    return acc
 
 
 def _times_x(a: np.ndarray) -> np.ndarray:
@@ -284,10 +302,11 @@ class Measure:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Measure":
         """{"atoms": [{"u", "mass"}], "ac": [{"lo", "hi", "density",
-        "tailExponent"?, "points"?}]}, density a builtin name."""
-        atoms = tuple(Atom(float(d["u"]), float(d["mass"]))
-                      for d in data.get("atoms", ()))
-        return cls(atoms, tuple(_piece_from_json(e) for e in data.get("ac", ())))
+        "tailExponent"?, "points"?}]}, density a builtin name; any other
+        key raises ValueError naming it."""
+        _check_keys(data, ("atoms", "ac"))
+        return cls(tuple(_atom_from_json(e) for e in data.get("atoms", ())),
+                   tuple(_piece_from_json(e) for e in data.get("ac", ())))
 
 
 def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
@@ -315,6 +334,14 @@ def _integrate_piece(f, piece: DensityPiece, abs_tol: float):
         return np.asarray(f(u)) * weight
 
     return adaptive_quad(g_theta, 0.0, math.pi, abs_tol=abs_tol)
+
+
+def _check_keys(data: dict, keys: tuple[str, ...]) -> None:
+    """Raise ValueError naming a key of a JSON spec outside keys."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; expected "
+                         f"{', '.join(keys)}")
 
 
 def _num_in(x) -> float:
@@ -365,7 +392,13 @@ def table_density(points: Sequence[Sequence[float]]):
 _NAME_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*$")
 
 
+def _atom_from_json(entry: dict) -> Atom:
+    _check_keys(entry, ("u", "mass"))
+    return Atom(float(entry["u"]), float(entry["mass"]))
+
+
 def _piece_from_json(entry: dict) -> DensityPiece:
+    _check_keys(entry, ("lo", "hi", "density", "tailExponent", "points"))
     lo = _num_in(entry["lo"])
     hi = _num_in(entry["hi"])
     tail = entry.get("tailExponent")

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (DomainError, EvaluatorFailure, ExtrapolationUnstable,
                      NotNevanlinna)
-from .measures import Atom, DensityPiece, Measure, cauchy_law, table_density
+from .measures import (Atom, DensityPiece, Measure, _check_keys, cauchy_law,
+                       table_density)
 from .quadrature import DEFAULT_ABS_TOL
 
 
@@ -53,8 +54,9 @@ class NevanlinnaSpec:
 
         As (1 + u z)/(z - u) = u + (1 + u^2)/(z - u), a smooth finite piece
         of nu adds m1 + C(z) in closed form, C the Cauchy integral of
-        (1 + u^2) rho and m1 = int u rho = -Re C(i).  Atoms and the other
-        pieces share one adaptive quadrature pass over the whole grid.
+        (1 + u^2) rho and m1 = int u rho = -Re C(i), cached on the piece's
+        ChebyshevU expansion.  Atoms and the other pieces share one adaptive
+        quadrature pass over the whole grid.
         """
         zs = np.asarray(zs, dtype=complex)
         flat = zs.ravel()
@@ -67,7 +69,7 @@ class NevanlinnaSpec:
                 return (1.0 + flat[:, None] * u[None, :]) / (flat[:, None] - u[None, :])
 
             def closed(e, c):
-                return e.cauchy(flat, c) - e.cauchy(1j, c).real
+                return e.cauchy(flat, c) - e.at_i[1]
             acc = acc + self.nu.integrate(kernel, abs_tol=abs_tol,
                                           closed=("c", closed))
         return acc.reshape(zs.shape)
@@ -529,9 +531,10 @@ def parse_named_form(text: str):
 
 def form_from_json(data: dict):
     """alpha/beta/nu keys give a NevanlinnaSpec, a/b/poles/residues a
-    RationalNevanlinna; a missing key or a malformed value raises
-    ValueError naming it."""
+    RationalNevanlinna; a missing or unknown key or a malformed value
+    raises ValueError naming it."""
     if "alpha" in data:
+        _check_keys(data, ("alpha", "beta", "nu"))
         return _built(data, lambda: NevanlinnaSpec(
             float(data["alpha"]), float(data["beta"]),
             Measure.from_json_dict(data["nu"])))
@@ -542,6 +545,7 @@ def form_from_json(data: dict):
 
 
 def _rational_from(data: dict) -> RationalNevanlinna:
+    _check_keys(data, ("a", "b", "poles", "residues"))
     return _built(data, lambda: RationalNevanlinna(
         float(data.get("a", 0.0)), float(data.get("b", 0.0)),
         tuple(data.get("poles", ())), tuple(data.get("residues", ()))))

@@ -8,26 +8,47 @@ u = anchor +/- ((1-s)/s)^gamma, gamma set by the integrand's tail decay.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
-
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 DEFAULT_ABS_TOL = 1e-10
 # folded tails beyond this distance from the anchor follow their power law
 _FAR = 1e50
 
 
+@functools.cache
 def _nodes(n: int):
-    if n not in _NODE_CACHE:
-        x, w = leggauss(n)
-        _NODE_CACHE[n] = (x, w)
-    return _NODE_CACHE[n]
+    """numpy's leggauss(n) for n >= 2, step for step and bit for bit,
+    without importing numpy.polynomial: the eigenvalues of the symmetric
+    companion matrix (eigvalsh reads only its lower triangle), one Newton
+    step on P_n, weights 1/(P_(n-1) P_n') scaled to sum to 2, both
+    symmetrised.  P_n' is the series sum (2k + 1) P_k, k = n - 1, n - 3, ..."""
+    k = np.arange(n + 1.0)
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, n) * scl[:-1] * scl[1:], -1))
+    p_n = (k == n) * 1.0
+    df = _legval(x, np.where((n - 1 - k[:-1]) % 2 == 0, 2 * k[:-1] + 1, 0.0))
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
+def _legval(x, c):
+    """numpy's legval(x, c), Clenshaw's recurrence, for len(c) >= 2."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
 
 
 def _panel(f, a: float, b: float, order: int):

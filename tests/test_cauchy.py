@@ -127,6 +127,29 @@ def test_estimate_inversion_domain_probes():
         estimate_inversion_domain(semicircle_measure(1.0), probe="G")
 
 
+def test_estimate_inversion_domain_probes_the_boundary(monkeypatch):
+    # every probe lies on a side |Re z| = gamma Im z of the cone it
+    # reports, or on its axis; none lies inside the cone
+    probed = []
+
+    def recording(solver):
+        def solve(source, zs, **kw):
+            probed.extend(np.atleast_1d(zs))
+            return solver(source, zs, **kw)
+        return solve
+
+    monkeypatch.setattr(cauchy, "_invert_f", recording(cauchy._invert_f))
+    monkeypatch.setattr(cauchy, "subordinate", recording(cauchy.subordinate))
+    gamma = estimate_inversion_domain(semicircle_measure(1.0)).gamma
+    assert estimate_inversion_domain(
+        AnalyticFn(lambda z: 1.0 / np.asarray(z, complex)),
+        probe="subordination").gamma == gamma
+    assert len(probed) >= 6
+    for z in probed:
+        assert z.real == 0.0 or abs(z.real) == pytest.approx(
+            gamma * z.imag, rel=1e-15)
+
+
 def test_voiculescu_additivity_semicircle_plus_atom():
     m1 = semicircle_measure(1.0)
     m2 = dirac(1.0)

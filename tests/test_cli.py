@@ -348,6 +348,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "e.json")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("freeflow: error:")
+    # an unknown key, a misspelt one above all, is named, never dropped
+    for key, spec in (
+            ("pole", 'rational(a=-1,b=2,pole=[0])'),
+            ("residue", '{"a": -1, "poles": [0], "residues": [1], '
+                        '"residue": [5]}'),
+            ("gamma", '{"alpha": -1, "beta": 0, "nu": {}, "gamma": 1}'),
+            ("atom", '{"alpha": -1, "beta": 0, "nu": {"atom": []}}'),
+            ("m", '{"alpha": -1, "beta": 0, "nu": {"atoms": '
+                  '[{"u": 0, "mass": 1, "m": 2}]}}'),
+            ("tail", '{"alpha": -1, "beta": 0, "nu": {"ac": [{"lo": -2, '
+                     '"hi": 2, "density": "semicircle", "tail": 2}]}}')):
+        assert main(["marginal", "--psi", spec,
+                     "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("freeflow: error:")
+        assert f"unknown key {key!r}" in err[0]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -3,15 +3,18 @@
 Each module of src/freeflow is parsed with ast: every module-level import
 must be used in its module (the package __init__ re-exports, so it is
 exempt), and every private module-level function, class or constant must
-be referenced in the module that defines it.
+be referenced in the module that defines it.  `import freeflow` loads numpy
+alone: neither scipy nor numpy.polynomial.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "freeflow")
-                 .glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "freeflow").glob("*.py"))
 
 
 def _loaded_names(tree: ast.Module) -> set[str]:
@@ -71,3 +74,11 @@ def test_private_definitions_are_referenced(path):
             if name.startswith("_") and not name.startswith("__")
             and name not in loaded}
     assert not dead, f"{path.name} never uses {sorted(dead)}"
+
+
+def test_import_loads_neither_scipy_nor_numpy_polynomial():
+    code = ("import sys, freeflow; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -101,6 +101,17 @@ def test_json_roundtrip_builtins():
     assert m.pieces[1].tail_exponent == 1.5
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"atoms": [], "ac": [], "pieces": []}, "pieces"),
+    ({"atoms": [{"u": 0.5, "mass": 0.25, "weight": 1}]}, "weight"),
+    ({"ac": [{"lo": -2, "hi": 2, "density": "semicircle(1)", "tail": 2}]},
+     "tail"),
+])
+def test_json_unknown_keys_are_named(data, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        Measure.from_json_dict(data)
+
+
 def test_table_density_interpolation():
     dens = table_density([(0.0, 1.0), (1.0, 0.0)])
     assert dens(0.5) == pytest.approx(0.5)

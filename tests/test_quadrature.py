@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from freeflow.errors import QuadratureFailure
-from freeflow.quadrature import adaptive_quad, quad_interval
+from freeflow.quadrature import _nodes, adaptive_quad, quad_interval
+
+
+def test_nodes_are_leggauss_bit_for_bit():
+    # 3, 15 and 31 are the orders in use; the rest guard the recurrence
+    for n in range(2, 65):
+        for got, ref in zip(_nodes(n), leggauss(n)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_polynomial_exact():

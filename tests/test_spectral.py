@@ -7,14 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from freeflow import quadrature
 from freeflow.cauchy import CauchySampler
 from freeflow.conformal import ConformalPair, _kernel_primitive
-from freeflow.measures import (DensityPiece, Measure, semicircle_density,
-                               semicircle_measure)
+from freeflow.measures import (DensityPiece, Measure, _horner,
+                               semicircle_density, semicircle_measure)
 from freeflow.nevanlinna import (NevanlinnaSpec, PowerForm, form_from_json,
-                                 recover_parameters)
+                                 halfplane_grid, recover_parameters)
 from freeflow.quadrature import quad_interval
 
 RNG = np.random.default_rng(7031)
@@ -224,3 +227,64 @@ def test_mass_check_takes_the_closed_form(panels):
         CauchySampler(law)
         assert panels[0] == 0
         assert abs(law.total_mass() - 1.0) <= 1e-14
+
+
+# -- the series and its constants, bit for bit ------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+# |J| <= 1 on C+; radii crowd towards 1, where the series converges slowest
+RADII = st.one_of(st.floats(0.0, 1.0),
+                  st.integers(1, 16).map(lambda k: 1.0 - 10.0 ** -k))
+POINTS_J = st.lists(st.builds(lambda r, t: r * complex(math.cos(t),
+                                                       math.sin(t)),
+                              RADII, st.floats(-math.pi, math.pi)),
+                    min_size=1, max_size=12)
+COEFFS = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(COEFFS, POINTS_J)
+def test_horner_is_polyval_bit_for_bit(coeffs, points):
+    a, j = np.array(coeffs), np.array(points)
+    assert same_bits(_horner(j, a), polyval(j, a))
+    assert same_bits(_horner(j[0], a), polyval(j[0], a))
+    assert same_bits(_horner(1j, a), polyval(1j, a))
+
+
+def series_per_call(e, z, a, log=False):
+    """The parent's closed forms: polyval, with the log-series coefficients
+    and the anchors at i rebuilt on every call."""
+    j, _ = e._joukowski(z)
+    if not log:
+        return math.pi * j * polyval(j, a)
+    padded = np.concatenate([[0.0, 0.0], a, [0.0, 0.0]])
+    coef = (padded[1:-2] - padded[3:]) / np.arange(1, a.size + 2)
+    return (0.25 * math.pi * (e.hi - e.lo)) * (
+        j * polyval(j, coef) - a[0] * np.log(j))
+
+
+@pytest.mark.parametrize("nu", [
+    semicircle_measure(1.02).scaled(0.98),
+    Measure(pieces=(shifted_semicircle(0.5, -3.0),)),
+    Measure(pieces=(exp_semicircle(),)),
+], ids=["generic-psi", "shifted", "exp"])
+def test_cached_constants_change_no_bit(nu):
+    spec = NevanlinnaSpec(ALPHA, BETA, nu)
+    e = nu.pieces[0].expansion
+    c, z = e.c, halfplane_grid()
+    psi_ref = ALPHA * z + BETA + (series_per_call(e, z, c)
+                                  - series_per_call(e, 1j, c).real)
+    psi_ref_big = -(0.5 * ALPHA * (z ** 2 + 1.0) + BETA * (z - 1j)
+                    + (series_per_call(e, z, c, log=True)
+                       - series_per_call(e, 1j, c, log=True)
+                       - (z - 1j) * series_per_call(e, 1j, c).real))
+    pair = ConformalPair(spec, "generic")
+    # the first call fills the cache, the second reads it
+    for _ in range(2):
+        assert same_bits(spec.eval_grid(z), psi_ref)
+        assert same_bits(pair.Psi(z), psi_ref_big)
